@@ -120,17 +120,23 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_fuse(args: argparse.Namespace) -> int:
-    manifest = load_manifest(args.manifest)
+def _read_members(paths: list[str]) -> tuple[list[str], list[np.ndarray]]:
+    """Read member prediction files that must share one id sequence."""
     first_ids: list[str] | None = None
     members = []
-    for member in manifest.members:
-        ids, matrix = read_predictions(member.path)
+    for path in paths:
+        ids, matrix = read_predictions(path)
         if first_ids is None:
             first_ids = ids
         elif ids != first_ids:
-            raise ValueError(f"{member.path}: id sequence differs from first member")
+            raise ValueError(f"{path}: id sequence differs from first member")
         members.append(matrix)
+    return first_ids, members
+
+
+def cmd_fuse(args: argparse.Namespace) -> int:
+    manifest = load_manifest(args.manifest)
+    first_ids, members = _read_members(manifest.paths())
     fused = fuse(members, manifest.weights(), manifest.score_type)
     write_predictions(args.out, first_ids, fused)
     return 0
@@ -139,15 +145,7 @@ def cmd_fuse(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if len(args.preds) < 2:
         raise ValueError("sweep needs at least two --preds files")
-    first_ids: list[str] | None = None
-    members = []
-    for path in args.preds:
-        ids, matrix = read_predictions(path)
-        if first_ids is None:
-            first_ids = ids
-        elif ids != first_ids:
-            raise ValueError(f"{path}: id sequence differs from first member")
-        members.append(matrix)
+    first_ids, members = _read_members(args.preds)
     label_ids, labels = read_labels(args.labels)
     y = _align_labels(first_ids, label_ids, labels)
     if y.max() >= members[0].shape[1]:

@@ -4,9 +4,24 @@ fusion weights.
 Fusion runs in probability space: logit-typed inputs are pushed through a
 row-wise softmax first, and the mix is the arithmetic weighted mean, so the
 output of valid inputs is again a row-stochastic matrix without any
-renormalization.  Element sums use exactly rounded accumulation
-(``math.fsum``), which makes fusion order-independent: permuting members
-and weights together reproduces the same bits.
+renormalization.  Each output element is the correctly rounded sum of the
+weighted member values, bit for bit what ``math.fsum`` returns, which makes
+fusion order-independent: permuting members and weights together
+reproduces the same bits.
+
+One batched kernel, :func:`_exact_sum`, computes those sums.  Two VecSum
+passes of Knuth's error-free TwoSum transform (Ogita, Rump and Oishi,
+"Accurate Sum and Dot Product", SIAM J. Sci. Comput. 2005) keep each
+element's exact sum while leaving it as a rounded value plus small exact
+remainders.  A certificate then proves the rounded value correct: either
+every remainder past the last TwoSum's error is zero, so IEEE addition
+itself rounded the exact sum, or an error bound on the remainders puts the
+exact sum strictly inside the value's rounding interval.  Elements it
+cannot prove (near rounding ties with nonzero remainders, extreme
+cancellation, exact zeros, whose sign is ``math.fsum``'s to decide, and
+non-finite intermediates) are summed by ``math.fsum`` itself.  The kernel
+works in blocks of at most :data:`CHUNK_ELEMENTS` values, and the sweep
+fuses its grid points in chunks of the same budget.
 """
 
 from __future__ import annotations
@@ -18,6 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .metrics import (
+    _topk_hits,
     mean_auc,
     mean_average_precision,
     mean_class_accuracy,
@@ -30,8 +46,14 @@ WEIGHT_SUM_TOL = 1e-9
 PROB_ROW_TOL = 1e-6
 MAX_GRID_POINTS = 1_000_000
 MAX_SWEEP_MEMBERS = 5
+# Elements of one block of member values summed at once by the fusion kernel,
+# and of one chunk of weighted members in the sweep; bounds their temporaries.
+CHUNK_ELEMENTS = 1 << 14
 
 OBJECTIVES = ("top1", "top5", "mca", "map", "mauc")
+
+_UNIT_ROUNDOFF = 2.0**-53
+_VECSUM_PASSES = 2
 
 
 @dataclass(frozen=True)
@@ -93,6 +115,61 @@ def _check_members(preds: Sequence[np.ndarray], score_type: str) -> list[np.ndar
     return mats
 
 
+def _identical(mats: list[np.ndarray]) -> bool:
+    return all(np.array_equal(m, mats[0]) for m in mats[1:])
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Knuth's TwoSum: s = fl(a + b) and s + e == a + b exactly, barring overflow.
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _certified_sum(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column sums of an (M, L) block, overwritten in the process, and the
+    mask of the columns whose sum is proven correctly rounded."""
+    m = q.shape[0]
+    for _ in range(_VECSUM_PASSES):
+        for i in range(1, m):
+            q[i], q[i - 1] = _two_sum(q[i], q[i - 1])
+    # The passes keep the exact column sum S and leave r = fl(q[-1] + q[-2])
+    # from the last TwoSum, so S = r + d + sum(rest) exactly.  With every rest
+    # value zero, r is the rounding of S by IEEE addition itself (ties to even
+    # included).  Otherwise |sum(rest)| <= bound (the factor covers the
+    # rounding of the sum of magnitudes and of the product; additions that
+    # underflow are exact), and r is certified when S lies strictly between
+    # the midpoints to r's neighbours.  Each comparison is of one rounded
+    # value against a float, so by monotonicity of rounding it holds for the
+    # exact value too.
+    r = q[-1]
+    d = q[-2] if m > 1 else np.zeros_like(r)
+    bound = np.abs(q[:-2]).sum(axis=0) * (1 + 2 * m * _UNIT_ROUNDOFF)
+    gap_up = np.nextafter(r, np.inf) - r
+    gap_down = r - np.nextafter(r, -np.inf)
+    certified = (bound == 0) | ((2 * (d + bound) < gap_up) & (2 * (d - bound) > -gap_down))
+    certified &= np.isfinite(gap_up + gap_down) & (r != 0)
+    return r, certified
+
+
+def _exact_sum(products: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
+    """Correctly rounded sum over the M members of ``products`` (an ``(M, ...)``
+    stack, or M arrays of one shape): element for element the bits of
+    ``math.fsum``, including its errors."""
+    members = [np.asarray(p, dtype=float).reshape(-1) for p in products]
+    out = np.empty(members[0].size)
+    step = max(1, CHUNK_ELEMENTS // len(members))
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite goes to fsum
+        for start in range(0, out.size, step):
+            stop = min(start + step, out.size)
+            out[start:stop], certified = _certified_sum(
+                np.stack([p[start:stop] for p in members])
+            )
+            for j in start + np.flatnonzero(~certified):
+                out[j] = math.fsum(p[j] for p in members)
+    return out.reshape(np.shape(products[0]))
+
+
 def fuse(
     preds: Sequence[np.ndarray], weights: Sequence[float], score_type: str = "prob"
 ) -> np.ndarray:
@@ -102,23 +179,20 @@ def fuse(
     w = _check_weights(weights)
     if w.size != len(mats):
         raise ValueError(f"{len(mats)} members but {w.size} weights")
-    if all(np.array_equal(m, mats[0]) for m in mats[1:]):
+    if _identical(mats):
         # Convexity fixed point, honored exactly rather than up to rounding.
         return mats[0].copy()
-    products = [wk * m for wk, m in zip(w, mats)]
-    out = np.empty_like(mats[0])
-    rows, cols = out.shape
-    for i in range(rows):
-        for j in range(cols):
-            out[i, j] = math.fsum(p[i, j] for p in products)
-    return out
+    return _exact_sum([wk * m for wk, m in zip(w, mats)])
+
+
+def _topk_of(objective: str, num_classes: int) -> int | None:
+    return {"top1": 1, "top5": min(5, num_classes)}.get(objective)
 
 
 def _objective_fn(objective: str, num_classes: int):
-    if objective == "top1":
-        return lambda preds, labels: topk_accuracy(preds, labels, 1)
-    if objective == "top5":
-        return lambda preds, labels: topk_accuracy(preds, labels, min(5, num_classes))
+    k = _topk_of(objective, num_classes)
+    if k is not None:
+        return lambda preds, labels: topk_accuracy(preds, labels, k)
     if objective == "mca":
         return mean_class_accuracy
     if objective == "map":
@@ -128,15 +202,17 @@ def _objective_fn(objective: str, num_classes: int):
     raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
 
 
-def _compositions(total: int, parts: int):
-    # Ascending lexicographic order, so that on ties the first (lex
-    # smallest) weight vector wins.
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
+def _composition_grid(total: int, parts: int) -> np.ndarray:
+    """Every way to write ``total`` as ``parts`` non-negative integers, one per
+    row, in ascending lexicographic order, so that on ties the first (lex
+    smallest) weight vector wins."""
+    prefixes = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(parts - 1):
+        choices = total - prefixes.sum(axis=1) + 1  # next part: 0 .. what is left
+        first = np.cumsum(choices) - choices
+        heads = np.arange(choices.sum()) - np.repeat(first, choices)
+        prefixes = np.column_stack([np.repeat(prefixes, choices, axis=0), heads])
+    return np.column_stack([prefixes, total - prefixes.sum(axis=1)])
 
 
 def sweep_weights(
@@ -150,7 +226,8 @@ def sweep_weights(
 
     Returns the best (weights, score); ties resolve to the lexicographically
     smallest weight vector.  The grid contains every unit vector, so the
-    returned score is >= every single member's score.
+    returned score is >= every single member's score.  Each grid point is
+    scored on exactly what :func:`fuse` returns for its weights.
     """
     mats = _check_members(preds, score_type)
     m = len(mats)
@@ -168,12 +245,22 @@ def sweep_weights(
     n, num_classes = mats[0].shape
     y = check_labels(labels, n, num_classes)
     score_fn = _objective_fn(objective, num_classes)
-    best_weights = None
-    best_score = -math.inf
-    for comp in _compositions(resolution, m):
-        w = np.array(comp, dtype=float) / resolution
-        score = score_fn(fuse(mats, w), y)
-        if score > best_score:
-            best_score = score
-            best_weights = w
-    return best_weights, best_score
+    grid = _composition_grid(resolution, m)
+    if _identical(mats):
+        # Every point fuses to mats[0] exactly, so all tie and the first wins.
+        return grid[0] / resolution, score_fn(mats[0], y)
+    k = _topk_of(objective, num_classes)
+    stack = np.stack(mats)[:, None]
+    points_per_chunk = max(1, CHUNK_ELEMENTS // stack.size)
+    best_index, best_score = 0, -math.inf
+    for start in range(0, len(grid), points_per_chunk):
+        weights = grid[start:start + points_per_chunk] / resolution
+        fused = _exact_sum(weights.T[:, :, None, None] * stack)
+        if k is None:
+            scores = [score_fn(f, y) for f in fused]
+        else:
+            scores = _topk_hits(fused, y, k) / n
+        i = int(np.argmax(scores))
+        if scores[i] > best_score:
+            best_index, best_score = start + i, float(scores[i])
+    return grid[best_index] / resolution, best_score

@@ -65,6 +65,16 @@ class MetricReport:
         return "\n".join(f"{name:<5} {value:>7}" for name, value in rows)
 
 
+def _topk_hits(scores: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
+    """Count, along the row axis of ``(..., n, C)`` scores, the rows whose
+    true class is among the k highest: fewer than k classes score strictly
+    higher or tie it with a lower index."""
+    n, num_classes = scores.shape[-2:]
+    target = scores[..., np.arange(n), y][..., None]
+    ahead = (scores > target) | ((scores == target) & (np.arange(num_classes) < y[:, None]))
+    return np.count_nonzero(np.count_nonzero(ahead, axis=-1) < k, axis=-1)
+
+
 def topk_accuracy(preds: np.ndarray, labels: np.ndarray, k: int) -> float:
     """Fraction of rows whose true class ranks among the k highest scores.
 
@@ -76,15 +86,7 @@ def topk_accuracy(preds: np.ndarray, labels: np.ndarray, k: int) -> float:
     y = check_labels(labels, n, num_classes)
     if not 1 <= k <= num_classes:
         raise ValueError(f"k must be in [1, {num_classes}], got {k}")
-    hits = 0
-    for i in range(n):
-        row = scores[i]
-        target_score = row[y[i]]
-        rank = int(np.count_nonzero(row > target_score))
-        rank += int(np.count_nonzero(row[: y[i]] == target_score))
-        if rank < k:
-            hits += 1
-    return hits / n
+    return int(_topk_hits(scores, y, k)) / n
 
 
 def mean_class_accuracy(preds: np.ndarray, labels: np.ndarray) -> float:

@@ -4,12 +4,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from clskit import ensemble
 from clskit.ensemble import (
     EnsembleManifest,
     EnsembleMember,
+    _composition_grid,
+    _exact_sum,
     fuse,
     sweep_weights,
+)
+from clskit.metrics import (
+    mean_auc,
+    mean_average_precision,
+    mean_class_accuracy,
+    topk_accuracy,
 )
 from clskit.numerics import softmax
 
@@ -21,7 +32,92 @@ def random_members(rng, count, n=12, num_classes=4):
     ]
 
 
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+# -- exact-sum kernel --------------------------------------------------------
+
+ADVERSARIAL = [
+    1e16, -1e16, 1.0, -1.0, 2.0**-53, 2.0**-106, -(2.0**-53),  # cancellation, half-way
+    0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, -(2.0**-1022),  # signed zeros, subnormals
+    1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0 + 2.0**-52,
+]
+# few mantissa bits over a wide exponent range: exact sums often land on or
+# next to rounding ties, with remainders spread across many magnitudes
+sparse = st.builds(
+    lambda sign, mantissa, exponent: sign * mantissa * 2.0**exponent,
+    st.sampled_from([-1.0, 1.0]), st.integers(1, 7), st.integers(-160, 0),
+)
+values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(ADVERSARIAL), sparse
+)
+
+
+@st.composite
+def stacks(draw):
+    """Summand columns of one length M; some end with the negation of their
+    first values, so the exact sum is tiny against its terms."""
+    m = draw(st.integers(1, 8))
+    columns = draw(st.lists(st.lists(values, min_size=m, max_size=m), min_size=1, max_size=6))
+    for column in columns:
+        cancelled = draw(st.integers(0, m // 2))
+        if cancelled:
+            column[m - cancelled:] = [-v for v in column[:cancelled]]
+    return columns
+
+
+@given(stacks())
+@example([[1.0, 2.0**-53, 2.0**-106], [1e16, 1.0, -1e16], [-0.0, -0.0, -0.0]])
+@example([[  # the remainders past the last TwoSum push the sum across a tie
+    8.271806125530277e-25, 6.887662211849341e-41, -0.0078125,
+    -3.1554436208840472e-30, 0.0078125, 1.7219155529623352e-41,
+]])
+@example([[1.7976931348623157e308, 1.7976931348623157e308]])  # overflow
+def test_exact_sum_matches_fsum_bitwise(columns):
+    stack = np.array(columns).T
+    try:
+        want = [math.fsum(column) for column in columns]
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            _exact_sum(stack)
+        return
+    assert np.array_equal(bits(_exact_sum(stack)), bits(want))
+
+
+def test_exact_sum_falls_back_to_fsum_only_where_unproven(monkeypatch):
+    calls = []
+    real_fsum = math.fsum
+
+    def counting_fsum(column):
+        calls.append(list(column))
+        return real_fsum(calls[-1])
+
+    monkeypatch.setattr(math, "fsum", counting_fsum)
+    stack = np.array([
+        [1.0, 1e16, 0.5, -0.0],
+        [2.0**-53, 1.0, 0.25, -0.0],
+        [2.0**-106, -1e16, 0.25, -0.0],
+    ])
+    got = _exact_sum(stack)
+    # the just-above-half-way column and the zero column take the fallback;
+    # the cancelling and the exact columns are certified
+    assert calls == [[1.0, 2.0**-53, 2.0**-106], [-0.0, -0.0, -0.0]]
+    assert np.array_equal(bits(got), bits([1.0 + 2.0**-52, 1.0, 1.0, 0.0]))
+
+
 # -- fuse ------------------------------------------------------------------
+
+def test_fuse_matches_fsum_reference_bitwise():
+    rng = np.random.default_rng(18)
+    for count in range(2, 7):
+        members = random_members(rng, count, n=30, num_classes=10)
+        w = rng.dirichlet(np.ones(count))
+        w[-1] = 1.0 - w[:-1].sum()
+        products = [wk * m for wk, m in zip(w, members)]
+        want = [[math.fsum(p[i, j] for p in products) for j in range(10)] for i in range(30)]
+        assert np.array_equal(bits(fuse(members, w)), bits(want))
+
 
 def test_fuse_matches_weighted_mean():
     rng = np.random.default_rng(20)
@@ -125,6 +221,78 @@ def test_manifest_validation():
 
 
 # -- sweep ---------------------------------------------------------------
+
+def _compositions(total, parts):
+    # The recursive ascending-lex generator the sweep grid is checked against.
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in _compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
+def reference_sweep(members, labels, resolution, objective, score_type="prob"):
+    """Brute force: one fuse and one metric call per grid point."""
+    num_classes = members[0].shape[1]
+    metric = {
+        "top1": lambda p, y: topk_accuracy(p, y, 1),
+        "top5": lambda p, y: topk_accuracy(p, y, min(5, num_classes)),
+        "mca": mean_class_accuracy,
+        "map": mean_average_precision,
+        "mauc": mean_auc,
+    }[objective]
+    best_weights, best_score = None, -math.inf
+    for comp in _compositions(resolution, len(members)):
+        w = np.array(comp, dtype=float) / resolution
+        score = metric(fuse(members, w, score_type), labels)
+        if score > best_score:
+            best_weights, best_score = w, score
+    return best_weights, best_score
+
+
+def sweep_cases():
+    rng = np.random.default_rng(34)
+    labels = rng.integers(0, 4, size=12)
+    # coarse probabilities tie within rows and across members and points
+    coarse = [np.eye(4)[rng.integers(0, 4, size=12)] * 0.5 + 0.125 for _ in range(3)]
+    one_hot = [np.eye(4)[rng.integers(0, 4, size=12)] for _ in range(2)]
+    same = random_members(rng, 1)[0]
+    # class 1 sits one ulp above class 0: a fused point whose weights sum
+    # to just under 1 would tie them, so only fuse's exact fixed point keeps
+    # every point's ranking
+    a = 0.35
+    ulp_apart = np.tile([a, np.nextafter(a, 1.0), 1.0 - a - np.nextafter(a, 1.0)], (12, 1))
+    return {
+        "random3": (random_members(rng, 3), labels, 6, "prob"),
+        "random5": (random_members(rng, 5), labels, 3, "prob"),
+        "ties": (coarse, labels, 4, "prob"),
+        "one_hot": (one_hot, labels, 5, "prob"),
+        "identical": ([same, same, same], labels, 4, "prob"),
+        "identical_ulp_apart": ([ulp_apart] * 3, np.tile([0, 2], 6), 3, "prob"),
+        "logit": ([rng.normal(size=(12, 4)) * 3 for _ in range(3)], labels, 5, "logit"),
+    }
+
+
+@pytest.mark.parametrize("objective", ["top1", "top5", "mca", "map", "mauc"])
+@pytest.mark.parametrize("case", list(sweep_cases()))
+@pytest.mark.parametrize("chunk", [ensemble.CHUNK_ELEMENTS, 50])
+def test_sweep_matches_brute_force_reference(objective, case, chunk, monkeypatch):
+    members, labels, resolution, score_type = sweep_cases()[case]
+    monkeypatch.setattr(ensemble, "CHUNK_ELEMENTS", chunk)
+    weights, score = sweep_weights(members, labels, resolution, objective, score_type)
+    want_weights, want_score = reference_sweep(members, labels, resolution, objective,
+                                               score_type)
+    assert np.array_equal(bits(weights), bits(want_weights))
+    assert type(score) is float and score == want_score
+
+
+@pytest.mark.parametrize("parts", [2, 3, 4, 5])
+def test_composition_grid_keeps_recursive_lex_order(parts):
+    for total in range(1, 9):
+        grid = _composition_grid(total, parts)
+        assert grid.tolist() == [list(c) for c in _compositions(total, parts)]
+
 
 def test_sweep_prefers_strictly_dominant_member():
     # any positive weight on the reversed member flips both rows

@@ -7,6 +7,7 @@ import pytest
 
 from clskit.metrics import (
     MetricReport,
+    _topk_hits,
     full_report,
     mean_auc,
     mean_average_precision,
@@ -100,6 +101,19 @@ def test_topk_matches_oracle_exactly():
         scores, labels = random_instance(rng)
         for k in range(1, scores.shape[1] + 1):
             assert topk_accuracy(scores, labels, k) == oracle_topk(scores, labels, k)
+
+
+def test_batched_topk_hits_match_oracle_per_slice():
+    rng = np.random.default_rng(15)
+    for _ in range(50):
+        scores, labels = random_instance(rng)
+        batch = np.round(rng.uniform(0.0, 1.0, size=(3, 2) + scores.shape), 1)
+        n = scores.shape[0]
+        for k in range(1, scores.shape[1] + 1):
+            hits = _topk_hits(batch, labels, k)
+            assert hits.shape == (3, 2)
+            for index in np.ndindex(3, 2):
+                assert hits[index] / n == oracle_topk(batch[index], labels, k)
 
 
 def test_mca_matches_oracle_exactly():
