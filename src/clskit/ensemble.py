@@ -39,7 +39,7 @@ from .metrics import (
     mean_class_accuracy,
     topk_accuracy,
 )
-from .numerics import check_labels, check_prediction_matrix, softmax
+from .numerics import check_labels, check_prediction_matrix, softmax_rows
 
 SCORE_TYPES = ("prob", "logit")
 WEIGHT_SUM_TOL = 1e-9
@@ -107,7 +107,7 @@ def _check_members(preds: Sequence[np.ndarray], score_type: str) -> list[np.ndar
         if m.shape != shape:
             raise ValueError(f"member {k} has shape {m.shape}, expected {shape}")
     if score_type == "logit":
-        mats = [np.stack([softmax(row) for row in m]) for m in mats]
+        mats = [softmax_rows(m) for m in mats]
     else:
         for k, m in enumerate(mats):
             if np.any(np.abs(m.sum(axis=1) - 1.0) > PROB_ROW_TOL):

@@ -6,10 +6,19 @@ decimals.  Rounding preserves row sums (see :func:`_format_row`), so the
 format round-trips below every tolerance used in this package.  All text
 is UTF-8 with LF line endings, and writing is deterministic: identical
 inputs produce identical bytes.
+
+Files are read and written in blocks of about ``CHUNK_ELEMENTS`` values:
+each block is split, parsed and checked with batched tests, and a block
+that fails one is read again line by line to report its first bad line.
+Every file is written to a temporary file beside its target, which replaces
+the target only once it is complete, so a failed write leaves no partial
+file behind.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import math
 import os
@@ -18,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import SCORE_TYPES, EnsembleManifest, EnsembleMember
+from .ensemble import CHUNK_ELEMENTS, SCORE_TYPES, EnsembleManifest, EnsembleMember, _exact_sum
 from .losses import LossConfig
 from .numerics import check_prediction_matrix
 from .schedule import (
@@ -31,6 +40,63 @@ from .schedule import (
 from .trainer import FeatureDataset, TrainConfig, synth_dataset
 
 _UNIT = 10**9  # one printed decimal unit: 9 fixed decimals
+_LABEL = re.compile(r"[+-]?\d+")
+
+
+@contextlib.contextmanager
+def _atomic_write(path: str):
+    """A text handle whose file appears at ``path`` only once it is complete.
+
+    The text goes to a new file next to ``path``, which replaces ``path`` when
+    the block ends; if the block raises, the new file is removed and ``path``
+    is left as it was.
+    """
+    directory, name = os.path.split(os.path.abspath(path))
+    temp = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as handle:
+            yield handle
+        os.replace(temp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temp)
+        raise
+
+
+def _fresh_ids(ids: list[str], seen: set[str] | None = None) -> bool:
+    """Whether ``ids`` are non-empty, comma-free, distinct and not in
+    ``seen``, checked with batched string and set operations; if so, they
+    join ``seen``.  Without ``seen``, a sort finds repeats in a fraction of
+    a set's memory."""
+    if "" in ids or "," in "".join(ids):
+        return False
+    if seen is None:
+        order = sorted(ids)
+        return all(map(str.__ne__, order, order[1:]))
+    fresh = set(ids)
+    if len(fresh) < len(ids) or not seen.isdisjoint(fresh):
+        return False
+    seen |= fresh
+    return True
+
+
+def _check_ids(ids: list[str], seen: set[str] | None = None, where: str | None = None) -> None:
+    """Add ``ids`` to ``seen`` as :func:`_fresh_ids` does, or raise naming the
+    first id that fails.  ``where`` (``path:line``) marks an id read from a
+    file, whose errors are worded as the readers word them."""
+    if _fresh_ids(ids, seen):
+        return
+    seen = set() if seen is None else seen
+    for sample_id in ids:
+        if not sample_id or "," in sample_id:
+            if where:
+                raise ValueError(f"{where}: empty sample id")
+            raise ValueError(f"sample id must be non-empty and comma-free, got {sample_id!r}")
+        if sample_id in seen:
+            prefix = f"{where}: " if where else ""
+            raise ValueError(f"{prefix}duplicate sample id {sample_id!r}")
+        seen.add(sample_id)
 
 
 def _format_row(row: np.ndarray) -> list[str]:
@@ -52,33 +118,153 @@ def _format_row(row: np.ndarray) -> list[str]:
     return cells
 
 
-def _check_ids(ids: list[str]) -> None:
-    seen = set()
-    for sample_id in ids:
-        if not sample_id or "," in sample_id:
-            raise ValueError(f"sample id must be non-empty and comma-free, got {sample_id!r}")
-        if sample_id in seen:
-            raise ValueError(f"duplicate sample id {sample_id!r}")
-        seen.add(sample_id)
+def _units(scaled: np.ndarray) -> np.ndarray:
+    """The printed units :func:`_format_row` gives every row of an ``(r, C)``
+    block of scaled values, in int64 arithmetic; the caller keeps every
+    magnitude below ``2**62 / C`` so no sum overflows."""
+    num_classes = scaled.shape[1]
+    floor = np.floor(scaled)
+    base = floor.astype(np.int64)
+    short = np.rint(_exact_sum(scaled.T)).astype(np.int64) - base.sum(axis=1)
+    # How many classes ``by_remainder[:short]`` bumps: with a negative
+    # ``short`` (a row total rounded below the floors' sum), all but -short.
+    count = np.where(short >= 0, short, short + num_classes)
+    order = np.argsort(floor - scaled, axis=1, kind="stable")
+    position = np.empty_like(order)
+    np.put_along_axis(position, order, np.arange(num_classes)[None, :], axis=1)
+    return base + (position < count[:, None])
+
+
+_SIGNS = np.array(["", "-"], dtype=object)
+
+
+def _format_block(ids: list[str], block: np.ndarray) -> str:
+    """The data lines of a prediction file for ``ids`` and the rows of ``block``."""
+    rows, num_classes = block.shape
+    with np.errstate(over="ignore"):
+        scaled = block * _UNIT
+    finite = np.isfinite(scaled)
+    if not finite.all():
+        value = float(block[~finite][0])
+        raise ValueError(f"value {value!r} is too large to print with 9 decimals")
+    if np.abs(scaled).max() >= 2.0**62 / num_classes:
+        # int64 could overflow: format row by row in exact integers
+        lines = []
+        for sample_id, row in zip(ids, block):
+            try:
+                lines.append(sample_id + "," + ",".join(_format_row(row)) + "\n")
+            except OverflowError:  # the row sum leaves the float range
+                raise ValueError(
+                    f"row {sample_id!r} sums past the float range when printed with 9 decimals"
+                ) from None
+        return "".join(lines)
+    units = _units(scaled)
+    magnitude = np.abs(units)
+    cells = np.empty((rows, 1 + 3 * num_classes), dtype=object)
+    cells[:, 0] = ids
+    cells[:, 1::3] = _SIGNS[(units < 0).view(np.int8)]
+    cells[:, 2::3] = magnitude // _UNIT
+    cells[:, 3::3] = magnitude % _UNIT
+    line = "%s" + ",%s%d.%09d" * num_classes + "\n"
+    return (line * rows) % tuple(cells.ravel().tolist())
 
 
 def write_predictions(path: str, ids: list[str], matrix: np.ndarray) -> None:
     m = check_prediction_matrix(matrix)
     if len(ids) != m.shape[0]:
         raise ValueError(f"{len(ids)} ids for {m.shape[0]} rows")
-    _check_ids(list(ids))
-    header = "id," + ",".join(f"c{j}" for j in range(m.shape[1]))
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(header + "\n")
-        for sample_id, row in zip(ids, m):
-            handle.write(sample_id + "," + ",".join(_format_row(row)) + "\n")
+    ids = list(ids)
+    _check_ids(ids)
+    num_classes = m.shape[1]
+    step = max(1, CHUNK_ELEMENTS // num_classes)
+    with _atomic_write(path) as handle:
+        handle.write("id," + ",".join(f"c{j}" for j in range(num_classes)) + "\n")
+        for start in range(0, len(ids), step):
+            handle.write(_format_block(ids[start:start + step], m[start:start + step]))
 
 
-def read_predictions(path: str) -> tuple[list[str], np.ndarray]:
+def _read_lines(path: str) -> list[str]:
     with open(path, "r", encoding="utf-8", newline="") as handle:
         lines = handle.read().split("\n")
     if lines and lines[-1] == "":
         lines.pop()
+    return lines
+
+
+def _parse_number(text: str, where: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"{where}: bad number {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{where}: non-finite value {text!r}")
+    return value
+
+
+def _parse_numbers(texts: list[str]) -> np.ndarray | None:
+    try:
+        values = np.fromiter(map(float, texts), dtype=float, count=len(texts))
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+def _parse_label(text: str, where: str) -> int:
+    if not _LABEL.fullmatch(text):
+        raise ValueError(f"{where}: bad label {text!r}")
+    label = int(text)
+    if label < 0:
+        raise ValueError(f"{where}: label must be >= 0, got {label}")
+    return label
+
+
+def _parse_labels(texts: list[str]) -> list[int] | None:
+    # Unsigned digit strings need no message; signed ones go to the line parser.
+    if "" in texts or not "".join(texts).isdecimal():
+        return None
+    try:
+        return list(map(int, texts))
+    except ValueError:
+        return None
+
+
+def _read_rows(path: str, lines: list[str], width: int, parse_block, parse_text):
+    """Ids and value blocks of the data lines ``lines[1:]``, each an id and
+    ``width - 1`` values.
+
+    Blocks of lines are split, parsed by ``parse_block`` (None when any text
+    needs an error) and checked with batched tests.  A block that fails is
+    read again line by line with ``parse_text``, which raises the error of its
+    first bad line, numbered as in the file.
+    """
+    ids: list[str] = []
+    chunks = []
+    seen: set[str] = set()
+    step = max(1, CHUNK_ELEMENTS // (width - 1))
+    for start in range(1, len(lines), step):
+        block = lines[start:start + step]
+        fields = ",".join(block).split(",")
+        block_ids = fields[::width]
+        del fields[::width]
+        values = None
+        if set(map(str.count, block, itertools.repeat(","))) == {width - 1}:
+            values = parse_block(fields)
+        if values is None or not _fresh_ids(block_ids, seen):
+            block_ids, values = [], []
+            for lineno, line in enumerate(block, start=start + 1):
+                row = line.split(",")
+                if len(row) != width:
+                    raise ValueError(f"{path}:{lineno}: expected {width} columns, got {len(row)}")
+                _check_ids(row[:1], seen, f"{path}:{lineno}")
+                block_ids.append(row[0])
+                values.extend(parse_text(text, f"{path}:{lineno}") for text in row[1:])
+        ids.extend(block_ids)
+        chunks.append(values)
+    return ids, chunks
+
+
+def read_predictions(path: str) -> tuple[list[str], np.ndarray]:
+    lines = _read_lines(path)
     if not lines:
         raise ValueError(f"{path}:1: empty prediction file")
     header = lines[0].split(",")
@@ -89,31 +275,8 @@ def read_predictions(path: str) -> tuple[list[str], np.ndarray]:
     num_classes = len(header) - 1
     if len(lines) < 2:
         raise ValueError(f"{path}:1: prediction file has no data rows")
-    ids: list[str] = []
-    rows = np.empty((len(lines) - 1, num_classes))
-    seen: set[str] = set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        if len(fields) != num_classes + 1:
-            raise ValueError(
-                f"{path}:{lineno}: expected {num_classes + 1} columns, got {len(fields)}"
-            )
-        sample_id = fields[0]
-        if not sample_id:
-            raise ValueError(f"{path}:{lineno}: empty sample id")
-        if sample_id in seen:
-            raise ValueError(f"{path}:{lineno}: duplicate sample id {sample_id!r}")
-        seen.add(sample_id)
-        ids.append(sample_id)
-        for j, text in enumerate(fields[1:]):
-            try:
-                value = float(text)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad number {text!r}") from None
-            if not math.isfinite(value):
-                raise ValueError(f"{path}:{lineno}: non-finite value {text!r}")
-            rows[lineno - 2, j] = value
-    return ids, rows
+    ids, chunks = _read_rows(path, lines, num_classes + 1, _parse_numbers, _parse_number)
+    return ids, np.concatenate(chunks).reshape(len(ids), num_classes)
 
 
 def write_labels(path: str, ids: list[str], labels: np.ndarray) -> None:
@@ -123,42 +286,20 @@ def write_labels(path: str, ids: list[str], labels: np.ndarray) -> None:
     _check_ids(list(ids))
     if y.size and y.min() < 0:
         raise ValueError("labels must be non-negative")
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with _atomic_write(path) as handle:
         handle.write("id,label\n")
         for sample_id, label in zip(ids, y):
             handle.write(f"{sample_id},{int(label)}\n")
 
 
 def read_labels(path: str) -> tuple[list[str], list[int]]:
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        lines = handle.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+    lines = _read_lines(path)
     if not lines or lines[0] != "id,label":
         raise ValueError(f"{path}:1: header must be 'id,label'")
-    ids: list[str] = []
-    labels: list[int] = []
-    seen: set[str] = set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        if len(fields) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 2 columns, got {len(fields)}")
-        sample_id, text = fields
-        if not sample_id:
-            raise ValueError(f"{path}:{lineno}: empty sample id")
-        if sample_id in seen:
-            raise ValueError(f"{path}:{lineno}: duplicate sample id {sample_id!r}")
-        seen.add(sample_id)
-        if not re.fullmatch(r"[+-]?\d+", text):
-            raise ValueError(f"{path}:{lineno}: bad label {text!r}")
-        label = int(text)
-        if label < 0:
-            raise ValueError(f"{path}:{lineno}: label must be >= 0, got {label}")
-        ids.append(sample_id)
-        labels.append(label)
+    ids, chunks = _read_rows(path, lines, 2, _parse_labels, _parse_label)
     if not ids:
         raise ValueError(f"{path}:1: label file has no data rows")
-    return ids, labels
+    return ids, [label for chunk in chunks for label in chunk]
 
 
 @dataclass(frozen=True)
@@ -303,6 +444,6 @@ def write_manifest(path: str, member_paths: list[str], weights: list[float], sco
             stored = os.path.abspath(member_path)
         members.append({"path": stored, "weight": float(weight)})
     document = {"members": members, "score_type": score_type}
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with _atomic_write(path) as handle:
         json.dump(document, handle, indent=2)
         handle.write("\n")

@@ -10,7 +10,8 @@ Conventions (fixed so results are bit-stable and oracle-testable):
   the classes of one sample, lower sample index when sorting samples by a
   class's score.
 * AP is the mean of precision at each positive rank; AUC is the pairwise
-  statistic (wins + 0.5 * ties) / (positives * negatives).
+  statistic (wins + 0.5 * ties) / (positives * negatives), with the wins
+  and ties counted from ranks rather than pair by pair.
 * All values are fractions in [0, 1]; the display layer shows percentages
   except for mAUC, which stays a 3-decimal fraction.
 
@@ -106,31 +107,26 @@ def mean_class_accuracy(preds: np.ndarray, labels: np.ndarray) -> float:
     return sum(recalls) / len(recalls)
 
 
-def _ranked_sample_order(scores: np.ndarray) -> np.ndarray:
-    # Descending by score; ties keep the lower sample index first.
-    return np.argsort(-scores, kind="stable")
-
-
 def mean_average_precision(preds: np.ndarray, labels: np.ndarray) -> float:
     """Macro one-vs-rest AP: mean precision at each positive rank, averaged
     over classes with at least one positive."""
     scores = check_prediction_matrix(preds)
     n, num_classes = scores.shape
     y = check_labels(labels, n, num_classes)
+    # Every class's samples, descending by score; ties keep the lower sample
+    # index first.  Row r of ``hits`` marks which classes rank a positive at r.
+    order = np.argsort(-scores, axis=0, kind="stable")
+    hits = y[order] == np.arange(num_classes)
+    classes, rows = np.nonzero(hits.T)  # grouped by class, ranks ascending
+    starts = np.searchsorted(classes, np.arange(num_classes + 1))
     aps = []
     for c in range(num_classes):
-        positives = y == c
-        num_pos = int(np.count_nonzero(positives))
-        if num_pos == 0:
+        ranks = rows[starts[c]:starts[c + 1]] + 1
+        if ranks.size == 0:
             continue
-        order = _ranked_sample_order(scores[:, c])
-        found = 0
-        precisions = []
-        for rank, sample in enumerate(order, start=1):
-            if positives[sample]:
-                found += 1
-                precisions.append(found / rank)
-        aps.append(sum(precisions) / num_pos)
+        # precision at the k-th positive is k / rank, summed in rank order
+        precisions = np.arange(1, ranks.size + 1) / ranks
+        aps.append(sum(precisions.tolist()) / ranks.size)
     if not aps:
         raise ValueError("mean_average_precision needs at least one positive label")
     return sum(aps) / len(aps)
@@ -138,7 +134,13 @@ def mean_average_precision(preds: np.ndarray, labels: np.ndarray) -> float:
 
 def mean_auc(preds: np.ndarray, labels: np.ndarray) -> float:
     """Macro one-vs-rest ROC AUC via the pairwise win/tie count, averaged
-    over classes that have both positives and negatives."""
+    over classes that have both positives and negatives.
+
+    The counts are rank counts (the Mann-Whitney U identity): each positive
+    wins against the negatives that sort below it and ties the ones equal to
+    it, found by binary search in the sorted negatives, so time is
+    O(n log n) and memory O(n) per class.
+    """
     scores = check_prediction_matrix(preds)
     n, num_classes = scores.shape
     y = check_labels(labels, n, num_classes)
@@ -146,11 +148,11 @@ def mean_auc(preds: np.ndarray, labels: np.ndarray) -> float:
     for c in range(num_classes):
         positives = y == c
         pos = scores[positives, c]
-        neg = scores[~positives, c]
+        neg = np.sort(scores[~positives, c])
         if pos.size == 0 or neg.size == 0:
             continue
-        wins = int(np.count_nonzero(pos[:, None] > neg[None, :]))
-        ties = int(np.count_nonzero(pos[:, None] == neg[None, :]))
+        wins = int(np.searchsorted(neg, pos, side="left").sum())
+        ties = int(np.searchsorted(neg, pos, side="right").sum()) - wins
         aucs.append((wins + 0.5 * ties) / (pos.size * neg.size))
     if not aucs:
         raise ValueError("mean_auc needs a class with both positives and negatives")

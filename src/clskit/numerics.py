@@ -57,6 +57,24 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
+def softmax_rows(logits: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`softmax` of a matrix in one batched call.
+
+    Every row gets the bits ``softmax(row)`` gives: the steps are the same
+    element-wise operations, and each row sum is a reduction along the
+    contiguous last axis, which numpy sums pairwise exactly as it sums a
+    1-D vector.
+    """
+    z = np.ascontiguousarray(logits, dtype=float)
+    if z.ndim != 2 or z.shape[1] < 2:
+        raise ValueError("logits must be a 2-D matrix with at least 2 columns")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("logits must be finite")
+    shifted = z - z.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def check_probability_vector(p: np.ndarray, tol: float = PROB_SUM_TOL) -> np.ndarray:
     """Validate a probability vector (entries in [0, 1], sums to 1)."""
     v = np.asarray(p, dtype=float)

@@ -231,6 +231,22 @@ def test_fuse_id_mismatch_exits_2(tmp_path, capsys):
     assert "id sequence" in capsys.readouterr().err
 
 
+def test_fuse_output_too_large_to_print_exits_2_and_writes_nothing(tmp_path, capsys):
+    # the row sums to 1, so the members pass as probabilities, but 1e300 has
+    # no 9-decimal form
+    (tmp_path / "m.csv").write_text("id,c0,c1,c2\na,1e300,-1e300,1\n", encoding="utf-8")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(
+        json.dumps({"members": [{"path": "m.csv", "weight": 0.5},
+                                {"path": "m.csv", "weight": 0.5}]}),
+        encoding="utf-8",
+    )
+    out = tmp_path / "o.csv"
+    assert main(["fuse", "--manifest", str(manifest), "--out", str(out)]) == 2
+    assert "too large to print" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv", "manifest.json"]
+
+
 def test_fuse_unit_weights_match_member_end_to_end(tmp_path, capsys):
     manifest = fused_setup(tmp_path, weights=(1.0, 0.0))
     out = str(tmp_path / "fused.csv")

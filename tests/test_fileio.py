@@ -1,10 +1,18 @@
 """Prediction/label CSV round-trips, config and manifest parsing."""
 
 import json
+import math
+import os
+import re
+import stat
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from clskit import fileio
 from clskit.fileio import (
     DatasetSpec,
     RunConfig,
@@ -236,3 +244,322 @@ def test_load_manifest_rejects_bad_documents(tmp_path):
 def test_write_manifest_rejects_bad_score_type(tmp_path):
     with pytest.raises(ValueError):
         write_manifest(str(tmp_path / "m.json"), ["a", "b"], [0.5, 0.5], "energy")
+
+
+# -- block-wise reading and writing against the per-line implementations ------
+# The oracles below are verbatim copies of the line-by-line readers and the
+# per-row formatter that the batched code must match.  Every property runs at
+# several block sizes, so files span many blocks and blocks fail at every
+# position.
+
+_ORACLE_UNIT = 10**9
+
+
+def oracle_format_row(row):
+    scaled = [v * _ORACLE_UNIT for v in row]
+    base = [math.floor(u) for u in scaled]
+    short = round(math.fsum(scaled)) - sum(base)
+    by_remainder = sorted(range(len(base)), key=lambda j: (base[j] - scaled[j], j))
+    bump = set(by_remainder[:short])
+    cells = []
+    for j, b in enumerate(base):
+        units = b + (1 if j in bump else 0)
+        sign = "-" if units < 0 else ""
+        mag = abs(units)
+        cells.append(f"{sign}{mag // _ORACLE_UNIT}.{mag % _ORACLE_UNIT:09d}")
+    return cells
+
+
+def oracle_read_predictions(path):
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        lines = handle.read().split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise ValueError(f"{path}:1: empty prediction file")
+    header = lines[0].split(",")
+    if header[0] != "id" or len(header) < 3 or any(
+        name != f"c{j}" for j, name in enumerate(header[1:])
+    ):
+        raise ValueError(f"{path}:1: header must be 'id,c0,...,c{{C-1}}' with C >= 2")
+    num_classes = len(header) - 1
+    if len(lines) < 2:
+        raise ValueError(f"{path}:1: prediction file has no data rows")
+    ids = []
+    rows = np.empty((len(lines) - 1, num_classes))
+    seen = set()
+    for lineno, line in enumerate(lines[1:], start=2):
+        fields = line.split(",")
+        if len(fields) != num_classes + 1:
+            raise ValueError(
+                f"{path}:{lineno}: expected {num_classes + 1} columns, got {len(fields)}"
+            )
+        sample_id = fields[0]
+        if not sample_id:
+            raise ValueError(f"{path}:{lineno}: empty sample id")
+        if sample_id in seen:
+            raise ValueError(f"{path}:{lineno}: duplicate sample id {sample_id!r}")
+        seen.add(sample_id)
+        ids.append(sample_id)
+        for j, text in enumerate(fields[1:]):
+            try:
+                value = float(text)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: bad number {text!r}") from None
+            if not math.isfinite(value):
+                raise ValueError(f"{path}:{lineno}: non-finite value {text!r}")
+            rows[lineno - 2, j] = value
+    return ids, rows
+
+
+def oracle_read_labels(path):
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        lines = handle.read().split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines or lines[0] != "id,label":
+        raise ValueError(f"{path}:1: header must be 'id,label'")
+    ids = []
+    labels = []
+    seen = set()
+    for lineno, line in enumerate(lines[1:], start=2):
+        fields = line.split(",")
+        if len(fields) != 2:
+            raise ValueError(f"{path}:{lineno}: expected 2 columns, got {len(fields)}")
+        sample_id, text = fields
+        if not sample_id:
+            raise ValueError(f"{path}:{lineno}: empty sample id")
+        if sample_id in seen:
+            raise ValueError(f"{path}:{lineno}: duplicate sample id {sample_id!r}")
+        seen.add(sample_id)
+        if not re.fullmatch(r"[+-]?\d+", text):
+            raise ValueError(f"{path}:{lineno}: bad label {text!r}")
+        label = int(text)
+        if label < 0:
+            raise ValueError(f"{path}:{lineno}: label must be >= 0, got {label}")
+        ids.append(sample_id)
+        labels.append(label)
+    if not ids:
+        raise ValueError(f"{path}:1: label file has no data rows")
+    return ids, labels
+
+
+def outcome(read, path):
+    """What a reader returns, or the message of the ValueError it raises;
+    values compare by their bits."""
+    try:
+        ids, values = read(path)
+    except ValueError as err:
+        return "error", str(err)
+    if isinstance(values, np.ndarray):
+        return ids, values.shape, values.tobytes()
+    return ids, values
+
+
+@pytest.fixture(scope="module")
+def scratch_csv(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("blocks") / "file.csv")
+
+
+chunk_sizes = st.sampled_from([1, 2, 3, 5, 8, 64, fileio.CHUNK_ELEMENTS])
+# A small id pool makes duplicates common; the odd texts are ones float(),
+# int() or the label pattern treat specially.
+ids_text = st.sampled_from(["a", "b", "c", "s1", "s2", "", " a", "id", "\r", "é"])
+number_text = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(width=32).map(lambda v: f"{v:.9f}"),
+    st.sampled_from(["0.5", "-0", "1e999", "nan", "inf", "-Infinity", "1_0", " 2.5 ",
+                     "0x1p3", "", "x", "1.5\r", "٣", "+.5", "1e-400"]),
+)
+label_text = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.sampled_from(["+3", "-0", "007", "1.0", "", " 1", "1\r", "٣", "²", "1e3", "x"]),
+)
+
+
+def csv_text(header, line_fields):
+    return st.lists(line_fields, max_size=14).map(
+        lambda rows: header + "".join(",".join(row) + "\n" for row in rows))
+
+
+def prediction_lines(num_classes):
+    # usually the right column count, sometimes one too few or too many
+    widths = st.sampled_from([num_classes] * 6 + [num_classes - 1, num_classes + 1])
+    return widths.flatmap(
+        lambda w: st.tuples(ids_text, st.lists(number_text, min_size=w, max_size=w))
+    ).map(lambda t: [t[0], *t[1]])
+
+
+prediction_files = st.one_of(
+    st.integers(2, 4).flatmap(lambda c: csv_text(
+        "id," + ",".join(f"c{j}" for j in range(c)) + "\n", prediction_lines(c))),
+    st.text(alphabet="id,c01.5\n-x", max_size=40),  # arbitrary text, headers included
+)
+label_files = st.one_of(
+    csv_text("id,label\n", st.one_of(
+        st.tuples(ids_text, label_text).map(list),
+        st.lists(st.sampled_from(["a", "1", ""]), max_size=3),
+    )),
+    st.text(alphabet="id,label01\n-+", max_size=40),
+)
+
+
+@given(text=prediction_files, chunk=chunk_sizes)
+def test_read_predictions_matches_line_by_line_reader(scratch_csv, text, chunk):
+    with open(scratch_csv, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
+    with mock.patch.object(fileio, "CHUNK_ELEMENTS", chunk):
+        got = outcome(read_predictions, scratch_csv)
+    assert got == outcome(oracle_read_predictions, scratch_csv)
+
+
+@given(text=label_files, chunk=chunk_sizes)
+def test_read_labels_matches_line_by_line_reader(scratch_csv, text, chunk):
+    with open(scratch_csv, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
+    with mock.patch.object(fileio, "CHUNK_ELEMENTS", chunk):
+        got = outcome(read_labels, scratch_csv)
+    assert got == outcome(oracle_read_labels, scratch_csv)
+
+
+def test_readers_report_the_first_bad_line_of_a_later_block(tmp_path):
+    path = tmp_path / "p.csv"
+    rows = [f"s{i},0.5,0.5" for i in range(40)]
+    rows[33] = "s33,0.5,x"
+    rows[37] = "s1,0.5,0.5"  # also bad, but later
+    path.write_text("id,c0,c1\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    with mock.patch.object(fileio, "CHUNK_ELEMENTS", 8):
+        with pytest.raises(ValueError, match=r":35: bad number 'x'$"):
+            read_predictions(str(path))
+    path.write_text("id,label\n" + "".join(f"s{i % 30},1\n" for i in range(40)), encoding="utf-8")
+    with mock.patch.object(fileio, "CHUNK_ELEMENTS", 8):
+        with pytest.raises(ValueError, match=r":32: duplicate sample id 's0'$"):
+            read_labels(str(path))
+
+
+def halfway(units):
+    # (2k + 1) / 2 printed units: scaled back by 1e9, nearly always a
+    # remainder of exactly half a unit
+    return units.map(lambda k: (2 * k + 1) / 2e9)
+
+
+# Magnitudes around the limits of exact integer arithmetic: past 2**53 printed
+# units a row total is itself rounded, and past 2**62 / C units a row no
+# longer fits the batched int64 path.
+big_values = st.sampled_from([2.0**54 / 1e9, 2.0**60 / 1e9, 9.3e9, 4.6e10, 7e10, 1e18, 1e299])
+cell_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),  # huge, negative, subnormal
+    st.floats(min_value=-2.0, max_value=2.0),
+    st.floats(min_value=-1e11, max_value=1e11),
+    halfway(st.integers(-8, 8)),
+    st.tuples(st.integers(-3, 3), halfway(st.integers(-3, 3))).map(sum),
+    st.integers(-(2**70), 2**70).map(float),  # exact integers, past int64 too
+    big_values,
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-9, 1.5e-9,
+                     1.5e299, -1.5e299, 1e300]),
+)
+
+
+@st.composite
+def prediction_matrices(draw):
+    rows = draw(st.integers(1, 9))
+    num_classes = draw(st.integers(2, 6) | st.integers(17, 24))
+    size = rows * num_classes
+    kind = draw(st.sampled_from(["probabilities", "cells", "cancelling"]))
+    if kind == "probabilities":  # the common case
+        raw = draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size))
+        matrix = np.array(raw).reshape(rows, num_classes) + 1e-3
+        return matrix / matrix.sum(axis=1, keepdims=True)
+    matrix = np.array(draw(st.lists(cell_values, min_size=size, max_size=size)))
+    matrix = matrix.reshape(rows, num_classes)
+    if kind == "cancelling":  # a big value and its negation in every row
+        big = np.array(draw(st.lists(big_values, min_size=rows, max_size=rows)))
+        matrix[:, 0], matrix[:, -1] = big, -big
+    return matrix
+
+
+@given(matrix=prediction_matrices(), chunk=chunk_sizes)
+def test_write_predictions_matches_per_row_formatter(scratch_csv, matrix, chunk):
+    ids = [f"r{i}" for i in range(matrix.shape[0])]
+    try:
+        with np.errstate(over="ignore"):
+            expected = "id," + ",".join(f"c{j}" for j in range(matrix.shape[1])) + "\n" + "".join(
+                i + "," + ",".join(oracle_format_row(row)) + "\n" for i, row in zip(ids, matrix))
+    except OverflowError:  # v * 1e9 or the row sum leaves the float range
+        expected = None
+    if os.path.exists(scratch_csv):
+        os.remove(scratch_csv)
+    with mock.patch.object(fileio, "CHUNK_ELEMENTS", chunk):
+        if expected is None:
+            with pytest.raises(ValueError, match="too large|past the float range"):
+                write_predictions(scratch_csv, ids, matrix)
+            assert not os.path.exists(scratch_csv)
+        else:
+            write_predictions(scratch_csv, ids, matrix)
+            with open(scratch_csv, "rb") as handle:
+                assert handle.read() == expected.encode("utf-8")
+
+
+def test_write_predictions_matches_formatter_when_row_totals_round(tmp_path):
+    # Past 2**53 units the row total is itself rounded, so the shortfall
+    # round(total) - sum(floors) can be negative or exceed the class count.
+    rows = {
+        -1: [2.0**54 / 1e9, 1e-9, 0.0],
+        3: [2.0**54 / 1e9, 1.5e-9, 0.7e-9],
+        5: [2.0**55 / 1e9, 3e-9, 0.9e-9, 0.9e-9],
+    }
+    for short, row in rows.items():
+        scaled = [v * 1e9 for v in row]
+        assert round(math.fsum(scaled)) - sum(map(math.floor, scaled)) == short
+        path = tmp_path / f"{short}.csv"
+        write_predictions(str(path), ["a"], np.array([row]))
+        line = path.read_text(encoding="utf-8").splitlines()[1]
+        assert line == "a," + ",".join(oracle_format_row(row))
+    # twenty half-unit remainders, half of them bumped: ties go to lower classes
+    row = np.arange(1, 41, 2) / 2e9
+    path = tmp_path / "ties.csv"
+    write_predictions(str(path), ["a"], row[None, :])
+    line = path.read_text(encoding="utf-8").splitlines()[1]
+    assert line == "a," + ",".join(oracle_format_row(row))
+
+
+def test_write_predictions_rejects_values_too_large_to_print(tmp_path):
+    path = tmp_path / "o.csv"
+    with pytest.raises(ValueError, match="value 1e\\+300 is too large"):
+        write_predictions(str(path), ["a"], np.array([[1e300, -1e300, 1.0]]))
+    with pytest.raises(ValueError, match="row 'a' sums past the float range"):
+        write_predictions(str(path), ["a"], np.array([[1.5e299, 1.5e299, -1.5e299, -1.5e299, 1.0]]))
+    assert list(tmp_path.iterdir()) == []
+
+
+# -- atomic writes ---------------------------------------------------------------
+
+def test_failed_writes_leave_nothing_and_keep_the_old_file(tmp_path):
+    target = tmp_path / "out.csv"
+    with pytest.raises(RuntimeError):
+        with fileio._atomic_write(str(target)) as handle:
+            handle.write("partial")
+            raise RuntimeError("interrupted")
+    assert list(tmp_path.iterdir()) == []
+    target.write_text("old", encoding="utf-8")
+    with pytest.raises(ValueError):
+        write_predictions(str(target), ["a"], np.array([[1e300, 0.0]]))
+    assert target.read_text(encoding="utf-8") == "old"
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_atomic_writes_replace_the_file_with_the_usual_mode(tmp_path):
+    plain = tmp_path / "plain"
+    plain.write_text("", encoding="utf-8")
+    written = {
+        "p.csv": lambda p: write_predictions(p, ["a"], np.array([[0.5, 0.5]])),
+        "l.csv": lambda p: write_labels(p, ["a"], np.array([1])),
+        "m.json": lambda p: write_manifest(p, ["a.csv", "b.csv"], [0.5, 0.5], "prob"),
+    }
+    for name, write in written.items():
+        path = tmp_path / name
+        path.write_text("stale", encoding="utf-8")
+        write(str(path))
+        assert path.read_text(encoding="utf-8") != "stale"
+        assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["l.csv", "m.json", "p.csv", "plain"]

@@ -2,8 +2,12 @@
 definitions.  On small instances the package values must match the oracles
 exactly, including every tie case."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from clskit.metrics import (
     MetricReport,
@@ -141,6 +145,42 @@ def test_mauc_matches_oracle_exactly():
             assert len(set(map(int, labels))) == 1
             continue
         assert got == oracle_mauc(scores, labels)
+
+
+@st.composite
+def tied_instances(draw):
+    # few distinct scores (signed zeros and a subnormal among them), so most
+    # pairs tie, and labels that may leave classes empty
+    n = draw(st.integers(1, 40))
+    num_classes = draw(st.integers(2, 5))
+    levels = st.sampled_from([0.0, -0.0, 5e-324, 0.25, 0.5, 1.0, 3.0])
+    scores = draw(st.lists(levels, min_size=n * num_classes, max_size=n * num_classes))
+    labels = draw(st.lists(st.integers(0, num_classes - 1), min_size=n, max_size=n))
+    return np.array(scores).reshape(n, num_classes), np.array(labels)
+
+
+@given(tied_instances())
+def test_map_and_mauc_match_oracles_under_heavy_ties(instance):
+    scores, labels = instance
+    assert mean_average_precision(scores, labels) == oracle_map(scores, labels)
+    if len(set(labels.tolist())) == 1:
+        with pytest.raises(ValueError):
+            mean_auc(scores, labels)
+    else:
+        assert mean_auc(scores, labels) == oracle_mauc(scores, labels)
+
+
+def test_mauc_heap_stays_linear_at_scale():
+    rng = np.random.default_rng(16)
+    scores = np.round(rng.uniform(size=(20_000, 10)), 3)  # ties included
+    labels = rng.integers(0, 10, size=20_000)
+    tracemalloc.start()
+    try:
+        mean_auc(scores, labels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 # -- hand-checked fixtures -----------------------------------------------

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from clskit.numerics import (
     check_labels,
@@ -12,6 +15,7 @@ from clskit.numerics import (
     gaussian_sample,
     make_rng,
     softmax,
+    softmax_rows,
 )
 
 
@@ -46,6 +50,42 @@ def test_softmax_rejects_bad_input():
         softmax(np.array([0.0, np.nan]))
     with pytest.raises(ValueError):
         softmax(np.array([0.0, np.inf]))
+
+
+@given(
+    hnp.arrays(
+        float,
+        st.tuples(st.integers(1, 12), st.integers(2, 40)),
+        elements=st.one_of(
+            st.floats(-1e6, 1e6),
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from([0.0, -0.0, 5e-324, 745.0, -745.0]),
+        ),
+    ),
+    st.booleans(),
+)
+def test_softmax_rows_matches_softmax_bit_for_bit(logits, fortran_order):
+    if fortran_order:
+        logits = np.asfortranarray(logits)
+    with np.errstate(over="ignore"):  # logits ~1e308 apart shift to -inf in both
+        expected = np.stack([softmax(row) for row in logits])
+        assert softmax_rows(logits).tobytes() == expected.tobytes()
+
+
+def test_softmax_rows_matches_softmax_at_scale():
+    rng = np.random.default_rng(1)
+    logits = rng.normal(scale=4.0, size=(20_000, 10))
+    expected = np.stack([softmax(row) for row in logits])
+    assert softmax_rows(logits).tobytes() == expected.tobytes()
+
+
+def test_softmax_rows_rejects_bad_input():
+    with pytest.raises(ValueError, match="logits must be finite"):
+        softmax_rows(np.array([[0.0, np.inf], [1.0, 2.0]]))
+    with pytest.raises(ValueError):
+        softmax_rows(np.array([1.0, 2.0]))  # a vector, not a matrix
+    with pytest.raises(ValueError):
+        softmax_rows(np.ones((3, 1)))
 
 
 def test_make_rng_reproducible():
