@@ -18,7 +18,7 @@ from .metrics import (
     mean_class_accuracy,
     topk_accuracy,
 )
-from .numerics import gaussian_sample, make_rng, softmax
+from .numerics import make_rng, softmax
 from .schedule import FreezePolicy, StepDecaySchedule, default_schedule, lr_at, schedule_table
 from .trainer import (
     BackboneHead,
@@ -51,7 +51,6 @@ __all__ = [
     "forward",
     "full_report",
     "fuse",
-    "gaussian_sample",
     "init_model",
     "loss_grad",
     "loss_value",

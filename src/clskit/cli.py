@@ -71,8 +71,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _align_labels(pred_ids: list[str], label_ids: list[str], labels: list[int]) -> np.ndarray:
-    """Reorder labels to prediction order; ids must match as sets."""
+def _align_labels(
+    pred_ids: list[str], label_ids: list[str], labels: list[int], num_classes: int
+) -> np.ndarray:
+    """Reorder labels to prediction order; ids must match as sets and every
+    label must index one of the ``num_classes`` prediction columns."""
     by_id = dict(zip(label_ids, labels))
     pred_set = set(pred_ids)
     for sample_id in pred_ids:
@@ -81,6 +84,10 @@ def _align_labels(pred_ids: list[str], label_ids: list[str], labels: list[int]) 
     for sample_id in label_ids:
         if sample_id not in pred_set:
             raise ValueError(f"id {sample_id!r} has a label but no predictions")
+    # Checked on the Python ints: a huge label cannot become a C long.
+    top = max(labels)
+    if top >= num_classes:
+        raise ValueError(f"label {top} out of range for {num_classes} prediction columns")
     return np.array([by_id[sample_id] for sample_id in pred_ids], dtype=int)
 
 
@@ -107,11 +114,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     pred_ids, matrix = read_predictions(args.preds)
     label_ids, labels = read_labels(args.labels)
-    y = _align_labels(pred_ids, label_ids, labels)
-    if y.max() >= matrix.shape[1]:
-        raise ValueError(
-            f"label {int(y.max())} out of range for {matrix.shape[1]} prediction columns"
-        )
+    y = _align_labels(pred_ids, label_ids, labels, matrix.shape[1])
     report = full_report(matrix, y)
     if args.json:
         print(json.dumps(report.as_dict()))
@@ -147,11 +150,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError("sweep needs at least two --preds files")
     first_ids, members = _read_members(args.preds)
     label_ids, labels = read_labels(args.labels)
-    y = _align_labels(first_ids, label_ids, labels)
-    if y.max() >= members[0].shape[1]:
-        raise ValueError(
-            f"label {int(y.max())} out of range for {members[0].shape[1]} prediction columns"
-        )
+    y = _align_labels(first_ids, label_ids, labels, members[0].shape[1])
     weights, score = sweep_weights(
         members, y, args.resolution, objective=args.objective, score_type=args.score_type
     )

@@ -1,6 +1,6 @@
 """Cross-entropy loss family: plain, label-smoothed, and focal-modulated.
 
-Every loss is evaluated on one sample: a probability vector ``p`` over C
+Every loss is evaluated per sample: a probability vector ``p`` over C
 classes and the true class index ``c``.  Writing ``w_c = 1 - eps`` for the
 target weight, the general per-sample loss is
 
@@ -16,7 +16,9 @@ cross entropy ``-log(p_c) - sum(log(1 - p_i))``.
 Two reductions are provided: ``per_class_sum`` (all terms above) and
 ``target_only`` (just the target term, i.e. categorical cross entropy when
 ``eps = gamma = 0``).  Gradients with respect to pre-softmax logits are
-hand-derived; there is no autodiff here.
+hand-derived; there is no autodiff here.  One batched kernel,
+:func:`loss_rows`, computes losses and gradients for a (B, C) matrix of
+samples; :func:`loss_value` and :func:`loss_grad` are its one-row calls.
 """
 
 from __future__ import annotations
@@ -57,6 +59,11 @@ class LossConfig:
             raise ValueError(f"clamp_floor must be in (0, 1e-6], got {self.clamp_floor}")
 
 
+def _check_class(true_class: int, num_classes: int) -> None:
+    if not 0 <= true_class < num_classes:
+        raise IndexError(f"true_class {true_class} out of range for {num_classes} classes")
+
+
 def smooth_labels(true_class: int, num_classes: int, epsilon: float) -> np.ndarray:
     """Smoothed target distribution: 1 - eps on the true class, eps/(C-1) elsewhere.
 
@@ -66,39 +73,57 @@ def smooth_labels(true_class: int, num_classes: int, epsilon: float) -> np.ndarr
         raise ValueError(f"num_classes must be >= 2, got {num_classes}")
     if not (math.isfinite(epsilon) and 0.0 <= epsilon < 1.0):
         raise ValueError(f"epsilon must be in [0, 1), got {epsilon}")
-    if not 0 <= true_class < num_classes:
-        raise IndexError(f"true_class {true_class} out of range for {num_classes} classes")
+    _check_class(true_class, num_classes)
     out = np.full(num_classes, epsilon / (num_classes - 1), dtype=float)
     out[true_class] = 1.0 - epsilon
     return out
 
 
-def _off_target_weight(epsilon: float, num_classes: int) -> float:
+def loss_rows(
+    p: np.ndarray, labels: np.ndarray, config: LossConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Losses and logit gradients of B samples in one pass.
+
+    ``p`` holds (B, C) probability rows, softmax of the logits, and
+    ``labels`` the true classes; returns the (B,) losses and the (B, C)
+    logit gradients.  Nothing is validated: :func:`loss_value` and
+    :func:`loss_grad` are the checked one-row calls.  Each term is
+    ``-w * u^gamma * l`` with focal base ``u`` = ``1 - q_c`` | ``q_i`` and
+    log term ``l`` = ``log(q_c)`` | ``log1p(-q_i)`` (target | off-target), so
+    ``dL/dq = du/dq * w * (u^gamma / (1 - u) - gamma * u^(gamma - 1) * l)``.
+    """
+    eps, gamma = config.epsilon, config.gamma
+    q = np.clip(p, config.clamp_floor, 1.0 - config.clamp_floor)
+    target = np.zeros(q.shape, dtype=bool)
+    target[np.arange(q.shape[0]), labels] = True
     # eps == 0 keeps unit weight on the off-target terms (the unsmoothed
     # form); smoothing replaces it with the smoothed off-target mass.
-    return epsilon / (num_classes - 1) if epsilon > 0.0 else 1.0
+    off_w = eps / (q.shape[1] - 1) if eps > 0.0 else 1.0
+    if config.form == "target_only":
+        off_w = 0.0
+    weight = np.where(target, 1.0 - eps, off_w)
+    signed_weight = np.where(target, -(1.0 - eps), off_w)  # du/dq * w
+    complement = 1.0 - q
+    base = np.where(target, complement, q)
+    log_term = np.where(target, np.log(q), np.log1p(-q))
+    focal = base**gamma
+    values = -((focal * weight) * log_term).sum(axis=1)
+
+    # dL/dp; the focal-derivative term is exactly zero when gamma == 0.
+    dldp = (signed_weight * focal) / np.where(target, q, complement)
+    if gamma > 0.0:
+        dldp -= (signed_weight * gamma) * base ** (gamma - 1.0) * log_term
+    # Chain through the softmax Jacobian: dL/dz_j = p_j * (d_j - <d, p>).
+    inner = np.einsum("ij,ij->i", dldp, p)
+    return values, p * (dldp - inner[:, None])
 
 
 def loss_value(p: np.ndarray, true_class: int, config: LossConfig) -> float:
     """Per-sample loss for probability vector ``p`` and true class ``c``."""
     q = check_probability_vector(p)
-    num_classes = q.size
-    if not 0 <= true_class < num_classes:
-        raise IndexError(f"true_class {true_class} out of range for {num_classes} classes")
-    floor = config.clamp_floor
-    q = np.clip(q, floor, 1.0 - floor)
-    eps, gamma = config.epsilon, config.gamma
-
-    qc = float(q[true_class])
-    value = -((1.0 - qc) ** gamma) * (1.0 - eps) * math.log(qc)
-    if config.form == "per_class_sum":
-        off_w = _off_target_weight(eps, num_classes)
-        for i in range(num_classes):
-            if i == true_class:
-                continue
-            qi = float(q[i])
-            value -= (qi**gamma) * off_w * math.log1p(-qi)
-    return value
+    _check_class(true_class, q.size)
+    values, _ = loss_rows(q[None, :], np.array([true_class]), config)
+    return float(values[0])
 
 
 def loss_grad(logits: np.ndarray, true_class: int, config: LossConfig) -> np.ndarray:
@@ -108,31 +133,6 @@ def loss_grad(logits: np.ndarray, true_class: int, config: LossConfig) -> np.nda
     ``softmax(logits) - onehot(c)``.
     """
     p = softmax(logits)
-    num_classes = p.size
-    if not 0 <= true_class < num_classes:
-        raise IndexError(f"true_class {true_class} out of range for {num_classes} classes")
-    floor = config.clamp_floor
-    q = np.clip(p, floor, 1.0 - floor)
-    eps, gamma = config.epsilon, config.gamma
-
-    # dL/dp, term by term.  The gamma > 0 guards avoid 0 * inf at the
-    # clamp boundaries when the focal factor is off.
-    dldp = np.zeros(num_classes)
-    qc = float(q[true_class])
-    d_target = -(1.0 - eps) * ((1.0 - qc) ** gamma) / qc
-    if gamma > 0.0:
-        d_target += (1.0 - eps) * gamma * ((1.0 - qc) ** (gamma - 1.0)) * math.log(qc)
-    dldp[true_class] = d_target
-    if config.form == "per_class_sum":
-        off_w = _off_target_weight(eps, num_classes)
-        for i in range(num_classes):
-            if i == true_class:
-                continue
-            qi = float(q[i])
-            d_i = off_w * (qi**gamma) / (1.0 - qi)
-            if gamma > 0.0:
-                d_i -= off_w * gamma * (qi ** (gamma - 1.0)) * math.log1p(-qi)
-            dldp[i] = d_i
-
-    # Chain through the softmax Jacobian: dL/dz_j = p_j * (d_j - <d, p>).
-    return p * (dldp - float(np.dot(dldp, p)))
+    _check_class(true_class, p.size)
+    _, grads = loss_rows(p[None, :], np.array([true_class]), config)
+    return grads[0]

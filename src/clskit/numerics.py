@@ -34,13 +34,6 @@ def make_rng(*key: int) -> np.random.Generator:
     return np.random.default_rng([len(key), *(int(part) for part in key)])
 
 
-def gaussian_sample(seed: int, n: int) -> np.ndarray:
-    """Draw ``n`` standard-normal values, fully determined by ``seed``."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return make_rng(seed).standard_normal(n)
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Map a logit vector to a probability vector.
 

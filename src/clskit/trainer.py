@@ -19,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import LossConfig, loss_grad, loss_value
+from .ensemble import CHUNK_ELEMENTS
+from .losses import LossConfig, loss_rows
 from .metrics import topk_accuracy
-from .numerics import make_rng, softmax
+from .numerics import make_rng, softmax, softmax_rows
 from .schedule import FreezePolicy, StepDecaySchedule, lr_at
 
 # Stream-key tags keeping dataset geometry, model init, and shuffles on
@@ -150,6 +151,17 @@ def init_model(dims: int, num_classes: int, hidden_dim: int, seed: int) -> Backb
     )
 
 
+def _layers(model: BackboneHead, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden activations and logits of the feature rows ``x`` (n, d).
+
+    Stacked matrix-vector products, one per row, keep each row's bits
+    independent of the other rows: ``forward`` and ``predict`` agree exactly.
+    """
+    hidden = np.maximum(np.matmul(x[:, None, :], model.backbone.T)[:, 0], 0.0)
+    logits = np.matmul(hidden[:, None, :], model.head_weights.T)[:, 0] + model.head_bias
+    return hidden, logits
+
+
 def forward(model: BackboneHead, features: np.ndarray) -> np.ndarray:
     """softmax(head_weights @ relu(backbone @ x) + head_bias) for one row."""
     x = np.asarray(features, dtype=float)
@@ -157,12 +169,13 @@ def forward(model: BackboneHead, features: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"feature row must have length {model.backbone.shape[1]}, got shape {x.shape}"
         )
-    hidden = np.maximum(model.backbone @ x, 0.0)
-    return softmax(model.head_weights @ hidden + model.head_bias)
+    _, logits = _layers(model, x[None, :])
+    return softmax(logits[0])
 
 
 def predict(model: BackboneHead, dataset: FeatureDataset) -> np.ndarray:
-    """Row i of the result is ``forward(model, dataset.features[i])``."""
+    """Row i of the result is ``forward(model, dataset.features[i])``; rows go
+    in blocks of at most ``CHUNK_ELEMENTS`` hidden activations."""
     if dataset.dims != model.backbone.shape[1]:
         raise ValueError(
             f"dataset dims {dataset.dims} != model input dims {model.backbone.shape[1]}"
@@ -172,8 +185,10 @@ def predict(model: BackboneHead, dataset: FeatureDataset) -> np.ndarray:
             f"dataset classes {dataset.num_classes} != model classes {model.head_bias.shape[0]}"
         )
     out = np.empty((dataset.n, dataset.num_classes))
-    for i in range(dataset.n):
-        out[i] = forward(model, dataset.features[i])
+    rows = max(1, CHUNK_ELEMENTS // model.backbone.shape[0])
+    for start in range(0, dataset.n, rows):
+        _, logits = _layers(model, dataset.features[start : start + rows])
+        out[start : start + rows] = softmax_rows(logits)
     return out
 
 
@@ -183,8 +198,9 @@ def train(
     """Mini-batch gradient descent on the configured loss.
 
     Per epoch: lr from the schedule, a seeded shuffle, sequential batch
-    updates ``param -= lr * mean_gradient``.  With ``freeze=frozen`` the
-    backbone array is never touched, so it is bit-identical afterwards.
+    updates ``param -= lr * mean_gradient``, each batch one forward and one
+    backward pass over its rows.  With ``freeze=frozen`` the backbone array
+    is never touched, so it is bit-identical afterwards.
     """
     if train_set.dims != val_set.dims:
         raise ValueError(f"train dims {train_set.dims} != val dims {val_set.dims}")
@@ -202,27 +218,17 @@ def train(
         loss_total = 0.0
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
-            grad_w = np.zeros_like(model.head_weights)
-            grad_b = np.zeros_like(model.head_bias)
-            grad_backbone = None if frozen else np.zeros_like(model.backbone)
-            for idx in batch:
-                x = train_set.features[idx]
-                c = int(train_set.labels[idx])
-                pre_hidden = model.backbone @ x
-                hidden = np.maximum(pre_hidden, 0.0)
-                logits = model.head_weights @ hidden + model.head_bias
-                loss_total += loss_value(softmax(logits), c, config.loss)
-                g_logits = loss_grad(logits, c, config.loss)
-                grad_w += np.outer(g_logits, hidden)
-                grad_b += g_logits
-                if grad_backbone is not None:
-                    g_hidden = model.head_weights.T @ g_logits
-                    grad_backbone += np.outer(
-                        np.where(pre_hidden > 0.0, g_hidden, 0.0), x
-                    )
+            x = train_set.features[batch]
+            hidden, logits = _layers(model, x)
+            losses, g_logits = loss_rows(softmax_rows(logits), train_set.labels[batch], config.loss)
+            loss_total += float(losses.sum())
+            grad_backbone = None
+            if not frozen:
+                g_hidden = np.where(hidden > 0.0, g_logits @ model.head_weights, 0.0)
+                grad_backbone = g_hidden.T @ x
             size = len(batch)
-            model.head_weights = model.head_weights - lr * (grad_w / size)
-            model.head_bias = model.head_bias - lr * (grad_b / size)
+            model.head_weights = model.head_weights - lr * ((g_logits.T @ hidden) / size)
+            model.head_bias = model.head_bias - lr * (g_logits.sum(axis=0) / size)
             if grad_backbone is not None:
                 model.backbone = model.backbone - lr * (grad_backbone / size)
         val_top1 = topk_accuracy(predict(model, val_set), val_set.labels, 1)

@@ -162,6 +162,18 @@ def test_eval_label_out_of_range_exits_2(tmp_path, capsys):
     assert "out of range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+def test_label_too_large_for_c_long_exits_2(tmp_path, capsys, command):
+    preds, labels = str(tmp_path / "p.csv"), tmp_path / "l.csv"
+    write_predictions(preds, ["a", "b"], np.array([[0.5, 0.5], [0.5, 0.5]]))
+    labels.write_text("id,label\na,99999999999999999999\nb,0\n", encoding="utf-8")
+    argv = {"eval": ["eval", "--preds", preds],
+            "sweep": ["sweep", "--preds", preds, "--preds", preds]}[command]
+    assert main(argv + ["--labels", str(labels)]) == 2
+    err = capsys.readouterr().err
+    assert "label 99999999999999999999 out of range for 2 prediction columns" in err
+
+
 def test_eval_parse_error_carries_line_number(tmp_path, capsys):
     preds = tmp_path / "p.csv"
     preds.write_text("id,c0,c1\na,0.5,x\n", encoding="utf-8")

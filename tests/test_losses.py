@@ -4,10 +4,14 @@ against finite differences."""
 import math
 
 import numpy as np
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from clskit.losses import LossConfig, loss_grad, loss_value, smooth_labels
-from clskit.numerics import softmax
+from clskit.losses import LOSS_FORMS, LossConfig, loss_grad, loss_rows, loss_value, smooth_labels
+from clskit.numerics import softmax, softmax_rows
 
 
 def random_prob(rng, num_classes):
@@ -220,3 +224,48 @@ def test_grad_finite_at_extreme_logits():
 def test_grad_validation():
     with pytest.raises(IndexError):
         loss_grad(np.zeros(3), 5, LossConfig())
+
+
+# -- the batched kernel against the per-sample reference --------------------
+
+@st.composite
+def loss_batches(draw):
+    num_classes = draw(st.integers(2, 12))
+    rows = draw(st.integers(1, 6))
+    logits = draw(hnp.arrays(float, (rows, num_classes), elements=st.floats(-60.0, 60.0)))
+    labels = draw(hnp.arrays(int, rows, elements=st.integers(0, num_classes - 1)))
+    config = LossConfig(
+        epsilon=draw(st.just(0.0) | st.floats(0.0, 0.99)),
+        gamma=draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 4.0)),
+        form=draw(st.sampled_from(LOSS_FORMS)),
+        clamp_floor=draw(st.sampled_from([1e-12, 1e-6]) | st.floats(1e-15, 1e-6)),
+    )
+    return logits, labels, config
+
+
+@settings(max_examples=300)
+@given(loss_batches())
+def test_kernel_rows_match_per_sample_reference(batch):
+    logits, labels, config = batch
+    values, grads = loss_rows(softmax_rows(logits), labels, config)
+    for z, c, value, grad in zip(logits, labels, values, grads):
+        assert value == pytest.approx(oracles.loss_value(softmax(z), int(c), config), rel=1e-12)
+        expected = oracles.loss_grad(z, int(c), config)
+        # Each gradient entry is p_j * (d_j - <d, p>) with d = dL/dp, so an
+        # entry can cancel down to rounding noise of p_j * max|d|.  Because
+        # d_c <= 0 <= d_i, max_j |d_j - <d, p>| >= max|d| / 2, which scales
+        # the absolute part of the tolerance.
+        p = softmax(z)
+        scale = np.max(np.abs(expected / p))
+        assert np.all(np.abs(grad - expected) <= 1e-12 * (np.abs(expected) + p * scale))
+
+
+def test_one_row_calls_are_kernel_rows():
+    rng = np.random.default_rng(8)
+    logits = rng.normal(scale=3.0, size=(5, 4))
+    labels = np.array([0, 3, 1, 1, 2])
+    config = LossConfig(epsilon=0.06, gamma=0.3)
+    values, grads = loss_rows(softmax_rows(logits), labels, config)
+    for z, c, value, grad in zip(logits, labels, values, grads):
+        assert loss_value(softmax(z), int(c), config) == value
+        assert np.array_equal(loss_grad(z, int(c), config), grad)

@@ -12,7 +12,6 @@ from clskit.numerics import (
     check_labels,
     check_prediction_matrix,
     check_probability_vector,
-    gaussian_sample,
     make_rng,
     softmax,
     softmax_rows,
@@ -115,16 +114,6 @@ def test_make_rng_rejects_bad_keys():
         make_rng(1.5)
     with pytest.raises(ValueError):
         make_rng(True)
-
-
-def test_gaussian_sample():
-    a = gaussian_sample(3, 1000)
-    assert a.shape == (1000,)
-    assert np.array_equal(a, gaussian_sample(3, 1000))
-    assert abs(a.mean()) < 0.1
-    assert abs(a.std() - 1.0) < 0.1
-    with pytest.raises(ValueError):
-        gaussian_sample(3, 0)
 
 
 def test_check_probability_vector():

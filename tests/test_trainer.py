@@ -1,9 +1,12 @@
 """Synthetic data, the fixed-backbone model, and the training loop."""
 
 import numpy as np
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from clskit.losses import LossConfig, loss_grad
+from clskit.losses import LOSS_FORMS, LossConfig, loss_grad
 from clskit.numerics import softmax
 from clskit.schedule import FreezePolicy, StepDecaySchedule, default_schedule
 from clskit.trainer import (
@@ -108,6 +111,16 @@ def test_init_model_seed_changes_backbone():
 def test_predict_rows_equal_forward():
     ds = synth_dataset(3, 20, 5, 3, 1.0)
     model = init_model(5, 3, 8, seed=1)
+    preds = predict(model, ds)
+    for i in range(ds.n):
+        assert np.array_equal(preds[i], forward(model, ds.features[i]))
+    # 600 rows at hidden_dim 64 span two full predict blocks and a remainder;
+    # a trained-looking head makes every row's bits depend on the products.
+    ds = synth_dataset(3, 600, 5, 3, 1.0)
+    model = init_model(5, 3, 64, seed=1)
+    rng = np.random.default_rng(2)
+    model.head_weights = rng.normal(size=model.head_weights.shape)
+    model.head_bias = rng.normal(size=model.head_bias.shape)
     preds = predict(model, ds)
     for i in range(ds.n):
         assert np.array_equal(preds[i], forward(model, ds.features[i]))
@@ -264,3 +277,43 @@ def test_train_rejects_mismatched_splits():
         train(tr, synth_dataset(2, 30, 7, 3, 1.0), recipe_config())
     with pytest.raises(ValueError):
         train(tr, synth_dataset(2, 30, 8, 4, 1.0), recipe_config())
+
+
+# -- the batched trainer against the per-sample reference -------------------
+
+@st.composite
+def train_problems(draw):
+    num_classes = draw(st.integers(2, 5))
+    dims = draw(st.integers(1, 6))
+    n = draw(st.integers(num_classes, 40))
+    separation = draw(st.sampled_from([0.0, 1.0, 3.0]))
+    seeds = draw(st.lists(st.integers(0, 1000), min_size=3, max_size=3))
+    config = TrainConfig(
+        epochs=draw(st.integers(1, 3)),
+        batch_size=draw(st.integers(1, n + 3)),
+        schedule=StepDecaySchedule(draw(st.sampled_from([1e-4, 0.05, 0.5])), (0, 1), (1.0, 0.5)),
+        loss=LossConfig(
+            epsilon=draw(st.sampled_from([0.0, 0.06, 0.3])),
+            gamma=draw(st.sampled_from([0.0, 0.3, 2.0])),
+            form=draw(st.sampled_from(LOSS_FORMS)),
+        ),
+        freeze=draw(st.sampled_from(list(FreezePolicy))),
+        seed=seeds[2],
+        hidden_dim=draw(st.integers(1, 10)),
+    )
+    return (synth_dataset(seeds[0], n, dims, num_classes, separation),
+            synth_dataset(seeds[1], n, dims, num_classes, separation), config)
+
+
+@settings(max_examples=60)
+@given(train_problems())
+def test_train_matches_per_sample_reference(problem):
+    tr, va, cfg = problem
+    model, log = train(tr, va, cfg)
+    ref_model, ref_log = oracles.train(tr, va, cfg)
+    for name in ("backbone", "head_weights", "head_bias"):
+        assert np.allclose(getattr(model, name), getattr(ref_model, name), rtol=1e-12, atol=1e-15)
+    assert [r.lr for r in log.records] == [r.lr for r in ref_log.records]
+    assert [r.val_top1 for r in log.records] == [r.val_top1 for r in ref_log.records]
+    for record, ref in zip(log.records, ref_log.records):
+        assert record.train_loss == pytest.approx(ref.train_loss, rel=1e-12)
