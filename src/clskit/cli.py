@@ -76,19 +76,21 @@ def _align_labels(
 ) -> np.ndarray:
     """Reorder labels to prediction order; ids must match as sets and every
     label must index one of the ``num_classes`` prediction columns."""
-    by_id = dict(zip(label_ids, labels))
-    pred_set = set(pred_ids)
-    for sample_id in pred_ids:
-        if sample_id not in by_id:
-            raise ValueError(f"id {sample_id!r} has predictions but no label")
-    for sample_id in label_ids:
-        if sample_id not in pred_set:
-            raise ValueError(f"id {sample_id!r} has a label but no predictions")
+    if pred_ids != label_ids:
+        by_id = dict(zip(label_ids, labels))
+        pred_set = set(pred_ids)
+        for sample_id in pred_ids:
+            if sample_id not in by_id:
+                raise ValueError(f"id {sample_id!r} has predictions but no label")
+        for sample_id in label_ids:
+            if sample_id not in pred_set:
+                raise ValueError(f"id {sample_id!r} has a label but no predictions")
+        labels = [by_id[sample_id] for sample_id in pred_ids]
     # Checked on the Python ints: a huge label cannot become a C long.
     top = max(labels)
     if top >= num_classes:
         raise ValueError(f"label {top} out of range for {num_classes} prediction columns")
-    return np.array([by_id[sample_id] for sample_id in pred_ids], dtype=int)
+    return np.array(labels, dtype=int)
 
 
 def cmd_train(args: argparse.Namespace) -> int:

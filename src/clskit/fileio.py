@@ -7,22 +7,30 @@ format round-trips below every tolerance used in this package.  All text
 is UTF-8 with LF line endings, and writing is deterministic: identical
 inputs produce identical bytes.
 
-Files are read and written in blocks of about ``CHUNK_ELEMENTS`` values:
-each block is split, parsed and checked with batched tests, and a block
-that fails one is read again line by line to report its first bad line.
-Every file is written to a temporary file beside its target, which replaces
-the target only once it is complete, so a failed write leaves no partial
-file behind.
+Files are read and written in blocks of about ``CHUNK_ELEMENTS`` values.
+A file is read once as bytes.  When every value has the fixed-point form
+the writers print (``-?\\d{1,6}\\.\\d{9}`` for predictions, up to 18 digits
+for labels), one numpy kernel parses it from the bytes with exact integer
+digit arithmetic, giving the same bits as ``float``.  Any other file, such as
+a value in another float syntax, goes to the general path: each block of
+lines is split, parsed with ``float`` (or ``int``) and checked with batched
+tests, and a block that fails one is read again line by line to report its
+first bad line.  Every file is written to a temporary file beside its
+target, which replaces the target only once it is complete, so a failed
+write leaves no partial file behind.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import functools
 import itertools
 import json
 import math
 import os
 import re
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,12 +191,106 @@ def write_predictions(path: str, ids: list[str], matrix: np.ndarray) -> None:
             handle.write(_format_block(ids[start:start + step], m[start:start + step]))
 
 
-def _read_lines(path: str) -> list[str]:
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        lines = handle.read().split("\n")
+def _read_head(path: str) -> tuple[bytes, str]:
+    """The bytes of ``path`` and their first line.  The bytes are checked to
+    be UTF-8, and a decoding error is raised as reading the file as text
+    raises it."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    if not data.isascii():
+        data.decode("utf-8")
+    end = data.find(b"\n")
+    return data, data[:end if end >= 0 else len(data)].decode("utf-8")
+
+
+def _split_lines(text: str) -> list[str]:
+    lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     return lines
+
+
+@functools.cache
+def _cell_layout(digits: int, decimals: int):
+    """The byte slots of the widest cell ``-?\\d{digits}(\\.\\d{decimals})?``:
+    its width, the point's slot, each slot's int64 place value, and the
+    masks that keep a cell's digit slots."""
+    fraction = decimals + 1 if decimals else 0
+    width = 1 + digits + fraction  # sign slot, integer digits, point and decimals
+    point = width - fraction  # integer digits sit in slots 1 .. point - 1
+    slots = np.arange(width)
+    digit_slot = (slots > 0) & (slots != point)
+    # a digit's place value is 10 ** (the digit slots to its right)
+    place = np.where(digit_slot, 10 ** (np.cumsum(digit_slot[::-1])[::-1] - 1), 0)
+    # Row f keeps the digit slots of a cell whose first digit is in slot f.
+    # It and every window of :func:`_fixed_point_rows` are single
+    # ``width``-byte items, so a gather copies whole windows.
+    keep = np.where(digit_slot & (slots >= slots[:, None]), 0xFF, 0).astype(np.uint8)
+    keep = keep.view(f"V{width}").ravel()
+    place.flags.writeable = keep.flags.writeable = False  # shared by every call
+    return width, point, place, keep
+
+
+def _fixed_point_rows(data: bytes, start: int, values_per_row: int, digits: int, decimals: int):
+    """Ids, magnitudes and signs of the data lines ``data[start:]``, each an id
+    and ``values_per_row`` cells of the form ``-?\\d{1,digits}`` followed, when
+    ``decimals`` > 0, by a point and exactly ``decimals`` digits; magnitudes
+    count units of ``10**-decimals``.  None when any line differs: another
+    comma count, other cell text, no final newline, or ids that fail
+    :func:`_fresh_ids`.
+
+    Blocks of about ``CHUNK_ELEMENTS`` cells are parsed from bytes: a cell's
+    widest form ends at its delimiter, so one fixed window of bytes per cell
+    is checked slot by slot and dotted with an int64 place-value vector,
+    exact for up to 18 digits.
+    """
+    width, point, place, keep = _cell_layout(digits, decimals)
+    buf = np.frombuffer(data, np.uint8)
+    ids: list[str] = []
+    magnitudes, signs = [], []
+    seen: set[str] = set()
+    while start < len(data):
+        # whole lines; a last line without its newline fails the delimiter test
+        span = start + CHUNK_ELEMENTS * width
+        stop = data.rfind(b"\n", start, span) + 1 or data.find(b"\n", span) + 1 or len(data)
+        # ``width`` bytes of padding in front keep every window inside the block.
+        block = np.zeros(width + stop - start, np.uint8)
+        block[width:] = buf[start:stop]
+        delims = np.flatnonzero((block == ord(",")) | (block == ord("\n")))
+        if delims.size % (values_per_row + 1):
+            return None
+        delims = delims.reshape(-1, values_per_row + 1)
+        kinds = block[delims]
+        if not ((kinds[:, :-1] == ord(",")).all() and (kinds[:, -1] == ord("\n")).all()):
+            return None
+        # Ids: the bytes from the newline before each line (one in the padding
+        # for the first) up to its first comma, split at those newlines.
+        block[width - 1] = ord("\n")
+        id_starts = np.concatenate(([width - 1], delims[:-1, -1]))
+        lengths = delims[:, 0] - id_starts
+        spans = np.repeat(id_starts - (np.cumsum(lengths) - lengths), lengths)
+        block_ids = block[spans + np.arange(spans.size)].tobytes().decode("utf-8").split("\n")[1:]
+        if not _fresh_ids(block_ids, seen):
+            return None
+        ends = delims[:, 1:].ravel()
+        starts = delims[:, :-1].ravel() + 1
+        negative = block[starts] == ord("-")
+        first = width - (ends - starts) + negative  # slot of each cell's first digit
+        if not ((first >= 1) & (first < point)).all():
+            return None
+        windows = np.ndarray((block.size - width + 1,), f"V{width}", block, strides=(1,))
+        cells = windows[ends - width].view(np.uint8).reshape(-1, width)
+        if decimals and not (cells[:, point] == ord(".")).all():
+            return None
+        cells -= ord("0")  # wraps, so a byte below '0' is no digit either
+        cells &= keep[first].view(np.uint8).reshape(-1, width)  # zero all but the digits
+        if not (cells < 10).all():
+            return None
+        ids.extend(block_ids)
+        magnitudes.append(np.einsum("ij,j->i", cells, place))  # casts in small buffers
+        signs.append(negative)
+        start = stop
+    return ids, np.concatenate(magnitudes), np.concatenate(signs)
 
 
 def _parse_number(text: str, where: str) -> float:
@@ -264,19 +366,30 @@ def _read_rows(path: str, lines: list[str], width: int, parse_block, parse_text)
 
 
 def read_predictions(path: str) -> tuple[list[str], np.ndarray]:
-    lines = _read_lines(path)
-    if not lines:
+    data, header_line = _read_head(path)
+    if not data:
         raise ValueError(f"{path}:1: empty prediction file")
-    header = lines[0].split(",")
+    header = header_line.split(",")
     if header[0] != "id" or len(header) < 3 or any(
         name != f"c{j}" for j, name in enumerate(header[1:])
     ):
         raise ValueError(f"{path}:1: header must be 'id,c0,...,c{{C-1}}' with C >= 2")
     num_classes = len(header) - 1
-    if len(lines) < 2:
+    # The header is ASCII, so the data lines start one byte past its length.
+    if len(data) <= len(header_line) + 1:
         raise ValueError(f"{path}:1: prediction file has no data rows")
-    ids, chunks = _read_rows(path, lines, num_classes + 1, _parse_numbers, _parse_number)
-    return ids, np.concatenate(chunks).reshape(len(ids), num_classes)
+    fixed = _fixed_point_rows(data, len(header_line) + 1, num_classes, 6, 9)
+    if fixed is None:
+        lines = _split_lines(data.decode("utf-8"))
+        ids, chunks = _read_rows(path, lines, num_classes + 1, _parse_numbers, _parse_number)
+        return ids, np.concatenate(chunks).reshape(len(ids), num_classes)
+    # With at most 15 digits every magnitude is an integer below 2**53, exact
+    # in float64, so one correctly rounded division gives float()'s bits,
+    # -0.0 included.
+    ids, magnitudes, negative = fixed
+    values = magnitudes / _UNIT
+    np.negative(values, out=values, where=negative)
+    return ids, values.reshape(len(ids), num_classes)
 
 
 def write_labels(path: str, ids: list[str], labels: np.ndarray) -> None:
@@ -293,13 +406,17 @@ def write_labels(path: str, ids: list[str], labels: np.ndarray) -> None:
 
 
 def read_labels(path: str) -> tuple[list[str], list[int]]:
-    lines = _read_lines(path)
-    if not lines or lines[0] != "id,label":
+    data, header = _read_head(path)
+    if header != "id,label":
         raise ValueError(f"{path}:1: header must be 'id,label'")
-    ids, chunks = _read_rows(path, lines, 2, _parse_labels, _parse_label)
-    if not ids:
+    if len(data) <= len(header) + 1:
         raise ValueError(f"{path}:1: label file has no data rows")
-    return ids, [label for chunk in chunks for label in chunk]
+    fixed = _fixed_point_rows(data, len(header) + 1, 1, 18, 0)
+    if fixed is None or fixed[2].any():  # signed labels take the general parser
+        lines = _split_lines(data.decode("utf-8"))
+        ids, chunks = _read_rows(path, lines, 2, _parse_labels, _parse_label)
+        return ids, [label for chunk in chunks for label in chunk]
+    return fixed[0], fixed[1].tolist()
 
 
 @dataclass(frozen=True)
@@ -360,22 +477,43 @@ class RunConfig:
         return train_set, val_set
 
 
-_DATASET_KEYS = {"n_train", "n_val", "dims", "classes", "separation", "seed"}
-_CONFIG_KEYS = {
-    "epochs",
-    "batch_size",
-    "base_lr",
-    "steps",
-    "mults",
-    "epsilon",
-    "gamma",
-    "loss_form",
-    "clamp_floor",
-    "freeze",
-    "seed",
-    "hidden_dim",
-    "dataset",
-}
+def _is_json(kind: type, value) -> bool:
+    """Whether a JSON value has the annotated type ``kind``: bool is not an
+    int, and an int is a float."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+_field_types = functools.cache(typing.get_type_hints)
+
+
+def _from_json(cls, data: dict, path: str, noun: str):
+    """``cls(**data)`` once every key of the JSON object ``data`` is a field
+    of the dataclass ``cls`` and every value has the field's annotated type:
+    a tuple field takes a list, a dataclass field an object."""
+    hints = _field_types(cls)
+    unknown = set(data) - set(hints)
+    if unknown:
+        raise ValueError(f"{path}: unknown {noun} keys {sorted(unknown)}")
+    values = {}
+    for name, value in data.items():
+        kind = hints[name]
+        if dataclasses.is_dataclass(kind):
+            if not isinstance(value, dict):
+                raise ValueError(f"{path}: {name!r} must be a JSON object")
+            value = _from_json(kind, value, path, name)
+        elif typing.get_origin(kind) is tuple:
+            item = typing.get_args(kind)[0]
+            if not isinstance(value, list) or not all(_is_json(item, v) for v in value):
+                raise ValueError(
+                    f"{path}: {name!r} must be a list of {item.__name__}, got {value!r}"
+                )
+            value = tuple(value)
+        elif not _is_json(kind, value):
+            raise ValueError(f"{path}: {name!r} must be {kind.__name__}, got {value!r}")
+        values[name] = value
+    return cls(**values)
 
 
 def load_run_config(path: str) -> RunConfig:
@@ -385,20 +523,7 @@ def load_run_config(path: str) -> RunConfig:
         data = json.load(handle)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: run config must be a JSON object")
-    unknown = set(data) - _CONFIG_KEYS
-    if unknown:
-        raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
-    dataset_data = data.pop("dataset", {})
-    if not isinstance(dataset_data, dict):
-        raise ValueError(f"{path}: 'dataset' must be a JSON object")
-    unknown = set(dataset_data) - _DATASET_KEYS
-    if unknown:
-        raise ValueError(f"{path}: unknown dataset keys {sorted(unknown)}")
-    if "steps" in data:
-        data["steps"] = tuple(data["steps"])
-    if "mults" in data:
-        data["mults"] = tuple(data["mults"])
-    config = RunConfig(dataset=DatasetSpec(**dataset_data), **data)
+    config = _from_json(RunConfig, data, path, "config")
     config.to_train_config()  # surfaces invariant violations at load time
     if config.dataset.n_train < config.dataset.classes or config.dataset.n_val < config.dataset.classes:
         raise ValueError("dataset splits need at least one sample per class")

@@ -114,10 +114,11 @@ def mean_average_precision(preds: np.ndarray, labels: np.ndarray) -> float:
     n, num_classes = scores.shape
     y = check_labels(labels, n, num_classes)
     # Every class's samples, descending by score; ties keep the lower sample
-    # index first.  Row r of ``hits`` marks which classes rank a positive at r.
-    order = np.argsort(-scores, axis=0, kind="stable")
-    hits = y[order] == np.arange(num_classes)
-    classes, rows = np.nonzero(hits.T)  # grouped by class, ranks ascending
+    # index first.  Each class sorts as one contiguous row, and column r of
+    # ``hits`` marks which classes rank a positive at r.
+    order = np.argsort(np.negative(scores.T, order="C"), axis=1, kind="stable")
+    hits = y[order] == np.arange(num_classes)[:, None]
+    classes, rows = np.nonzero(hits)  # grouped by class, ranks ascending
     starts = np.searchsorted(classes, np.arange(num_classes + 1))
     aps = []
     for c in range(num_classes):

@@ -120,6 +120,23 @@ def test_train_missing_config_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides", [
+    {"epochs": 1.5},
+    {"steps": 5},
+    {"hidden_dim": 2.5},
+    {"dataset": {"n_train": "300"}},
+    {"epochs": True},
+], ids=["float-epochs", "scalar-steps", "float-hidden-dim", "string-n-train", "bool-epochs"])
+def test_train_config_of_the_wrong_json_type_exits_2(tmp_path, capsys, overrides):
+    config = write_config(tmp_path, **overrides)
+    out_train, out_val = tmp_path / "t.csv", tmp_path / "v.csv"
+    code = main(["train", "--config", config, "--out-train", str(out_train),
+                 "--out-val", str(out_val)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out_train.exists() and not out_val.exists()
+
+
 # -- eval ----------------------------------------------------------------
 
 def test_eval_json_matches_oracle_fixture(tmp_path, capsys):
@@ -151,6 +168,15 @@ def test_eval_id_mismatch_names_offender(tmp_path, capsys):
     write_labels(labels, [f"s{i}" for i in range(1, 9)], EIGHT_SAMPLE_LABELS)
     assert main(["eval", "--preds", preds, "--labels", labels]) == 2
     assert "'s0'" in capsys.readouterr().err
+
+
+def test_eval_reorders_labels_to_prediction_order(tmp_path, capsys):
+    preds, labels = eight_sample_files(tmp_path)
+    shuffled = str(tmp_path / "shuffled.csv")
+    order = [3, 7, 0, 5, 1, 6, 2, 4]
+    write_labels(shuffled, [f"s{i}" for i in order], EIGHT_SAMPLE_LABELS[order])
+    assert main(["eval", "--preds", preds, "--labels", shuffled, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == EIGHT_SAMPLE_REPORT
 
 
 def test_eval_label_out_of_range_exits_2(tmp_path, capsys):

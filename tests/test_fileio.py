@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clskit import fileio
@@ -178,6 +178,15 @@ def test_load_run_config(tmp_path):
     assert cfg.batch_size == 32  # untouched default
 
 
+def test_load_run_config_takes_ints_for_floats_and_lists_for_tuples(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"base_lr": 1, "steps": [0, 3], "mults": [1, 0.5],
+                                "dataset": {"separation": 2}}), encoding="utf-8")
+    cfg = load_run_config(str(path))
+    assert (cfg.base_lr, cfg.steps, cfg.mults) == (1, (0, 3), (1, 0.5))
+    assert cfg.dataset.separation == 2
+
+
 def test_load_run_config_rejects_bad_documents(tmp_path):
     path = tmp_path / "run.json"
 
@@ -194,6 +203,11 @@ def test_load_run_config_rejects_bad_documents(tmp_path):
     expect_error({"steps": [0, 2], "mults": [1.0]}, "multiplier")
     expect_error({"dataset": {"n_train": 2, "classes": 4}}, "one sample per class")
     expect_error([1, 2], "JSON object")
+    expect_error({"dataset": [1]}, "'dataset' must be a JSON object")
+    expect_error({"freeze": 1}, "'freeze' must be bool, got 1")
+    expect_error({"mults": [1.0, "0.5"]}, "'mults' must be a list of float")
+    expect_error({"loss_form": 3}, "'loss_form' must be str")
+    expect_error({"dataset": {"classes": 3.0}}, "'classes' must be int, got 3.0")
 
 
 # -- manifests ----------------------------------------------------------------
@@ -435,6 +449,140 @@ def test_readers_report_the_first_bad_line_of_a_later_block(tmp_path):
     with mock.patch.object(fileio, "CHUNK_ELEMENTS", 8):
         with pytest.raises(ValueError, match=r":32: duplicate sample id 's0'$"):
             read_labels(str(path))
+
+
+# Files of the form clskit writes, read from bytes by the fixed-point kernel,
+# with the near misses it must hand to the general parser: other decimal
+# counts, integer parts past 6 digits, signs and bytes the kernel must not
+# read as digits or as the point, ids past ASCII, blank lines and a missing
+# final newline.
+def digits(low, high):
+    return st.text("0123456789", min_size=low, max_size=high)
+
+
+fixed_cells = st.one_of(
+    st.builds("{}{}.{}".format, st.sampled_from(["", "-"]), digits(1, 6), digits(9, 9)),
+    st.sampled_from(["-0.000000000", "0.000000000", "1.000000000", "999999.999999999",
+                     "-999999.999999999", "000000.000000001"]),
+)
+
+
+def one_byte_replaced(cells, chars):
+    return st.tuples(cells, st.integers(0, 18), st.sampled_from(list(chars))).map(
+        lambda t: t[0][:t[1]] + t[2] + t[0][t[1] + 1:])
+
+
+near_miss_cells = st.one_of(
+    one_byte_replaced(fixed_cells, ":/.+-e \r٣0"),  # '0' in the point's slot drops the point
+    st.builds("{}{}.{}".format, st.sampled_from(["", "-", "+", " "]), digits(1, 8),
+              digits(8, 10)),
+    st.builds("{}{}.{}".format, st.sampled_from(["", "-"]), digits(7, 8), digits(9, 9)),
+    digits(11, 17),
+    st.sampled_from(["", "-", ".000000000", "-.000000000", "1.", "1e-9", "1_0.000000000",
+                     "٣.000000000", "0.000000000\r", "0.000000000 "]),
+)
+fixed_ids = st.text(alphabet="ab\xe9名\r ", min_size=1, max_size=3)
+
+
+@st.composite
+def fixed_point_files(draw, values_per_row, header, cells, misses):
+    count = draw(st.integers(1, 14))
+    ids = draw(st.lists(fixed_ids, min_size=count, max_size=count, unique=True))
+    lines = [[sample_id, *draw(st.lists(cells, min_size=values_per_row,
+                                        max_size=values_per_row))] for sample_id in ids]
+    damage = draw(st.sampled_from(["none"] * 4 + ["cell"] * 3
+                                  + ["id", "blank", "columns", "end"]))
+    row = draw(st.integers(0, count - 1))
+    if damage == "cell":
+        lines[row][draw(st.integers(1, values_per_row))] = draw(misses)
+    elif damage == "id":  # empty, or a repeat of another line's
+        lines[row][0] = draw(st.sampled_from(["", *ids]))
+    elif damage == "blank":
+        lines.insert(row, [""])
+    elif damage == "columns":  # one line a cell short, another a cell long
+        moved = lines[row].pop()
+        lines[draw(st.integers(0, count - 1))].append(moved)
+    text = header + "".join(",".join(line) + "\n" for line in lines)
+    return text[:-1] if damage == "end" else text
+
+
+fixed_prediction_files = st.integers(2, 4).flatmap(lambda c: fixed_point_files(
+    c, "id," + ",".join(f"c{j}" for j in range(c)) + "\n", fixed_cells, near_miss_cells))
+label_cells = st.one_of(digits(1, 18), st.just("0"))
+fixed_label_files = fixed_point_files(1, "id,label\n", label_cells, st.one_of(
+    digits(19, 21), one_byte_replaced(label_cells, ":/.+- \r٣"),
+    st.sampled_from(["-0", "-3", "+3", " 1", "1\r", "٣", "1.0", ""])))
+
+
+@settings(max_examples=300)
+@given(text=fixed_prediction_files, chunk=chunk_sizes)
+def test_read_predictions_of_fixed_point_text_matches_line_by_line_reader(scratch_csv, text, chunk):
+    with open(scratch_csv, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
+    with mock.patch.object(fileio, "CHUNK_ELEMENTS", chunk):
+        got = outcome(read_predictions, scratch_csv)
+    assert got == outcome(oracle_read_predictions, scratch_csv)
+
+
+@settings(max_examples=300)
+@given(text=fixed_label_files, chunk=chunk_sizes)
+def test_read_labels_of_fixed_point_text_matches_line_by_line_reader(scratch_csv, text, chunk):
+    with open(scratch_csv, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
+    with mock.patch.object(fileio, "CHUNK_ELEMENTS", chunk):
+        got = outcome(read_labels, scratch_csv)
+    assert got == outcome(oracle_read_labels, scratch_csv)
+
+
+def test_clskit_written_files_are_read_without_the_general_parser(tmp_path):
+    rng = np.random.default_rng(43)
+    matrix = rng.dirichlet(np.ones(10), size=20000)
+    # signs and the widest integer part the kernel takes
+    matrix[:50] = rng.uniform(-999999.0, 999999.0, size=(50, 10))
+    matrix[50, :] = [-0.0, -4e-10, 999999.999999999, -999999.999999999, 0.0, 1e-9, -1e-9,
+                     123456.5, -0.5, 5e-10]
+    ids = [f"s{i:05d}\xe9" for i in range(20000)]
+    labels = rng.integers(0, 10, size=20000)
+    labels[:2] = [10**18 - 1, 0]
+    preds_path, labels_path = str(tmp_path / "p.csv"), str(tmp_path / "l.csv")
+    write_predictions(preds_path, ids, matrix)
+    write_labels(labels_path, ids, labels)
+    zero_path = tmp_path / "z.csv"  # clskit never writes a negative zero
+    zero_path.write_text("id,c0,c1\na,-0.000000000,1.000000000\n", encoding="utf-8")
+    general = mock.Mock(side_effect=AssertionError("general parser called"))
+    with mock.patch.multiple(fileio, _read_rows=general, _parse_numbers=general,
+                             _parse_labels=general):
+        got = outcome(read_predictions, preds_path), outcome(read_labels, labels_path)
+        zero = read_predictions(str(zero_path))[1]
+    assert got == (outcome(oracle_read_predictions, preds_path),
+                   outcome(oracle_read_labels, labels_path))
+    assert np.signbit(zero[0, 0]) and zero.tobytes() == np.array([[-0.0, 1.0]]).tobytes()
+
+
+def test_a_late_non_fixed_cell_sends_the_file_to_the_general_parser(tmp_path):
+    path = str(tmp_path / "p.csv")
+    rows = [f"s{i},0.{i:09d},0.{i + 1:09d},-0.000000000" for i in range(300)]
+    rows[290] = "s290,0.1234567894,0.000000291,-0.000000000"  # 10 decimals
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write("id,c0,c1,c2\n" + "\n".join(rows) + "\n")
+    with mock.patch.object(fileio, "CHUNK_ELEMENTS", 16), \
+            mock.patch.object(fileio, "_read_rows", wraps=fileio._read_rows) as general:
+        got = outcome(read_predictions, path)
+    assert general.call_count == 1
+    assert got == outcome(oracle_read_predictions, path)
+
+
+def test_undecodable_bytes_raise_as_text_reading_does(tmp_path):
+    path = tmp_path / "p.csv"
+    for text in [b"id,c0,c1\na,0.5,\xff\n", b"\xe9", b"id,label\na,1\n\xf0\x9f"]:
+        path.write_bytes(text)
+        for read, oracle in [(read_predictions, oracle_read_predictions),
+                             (read_labels, oracle_read_labels)]:
+            with pytest.raises(UnicodeDecodeError) as err:
+                read(str(path))
+            with pytest.raises(UnicodeDecodeError) as expected:
+                oracle(str(path))
+            assert str(err.value) == str(expected.value)
 
 
 def halfway(units):
