@@ -2,7 +2,8 @@
 
 Every command is a pure function of its arguments and input files, so
 re-running any of them reproduces output files byte-for-byte. Exit codes
-are 0 on success and 2 on any usage or validation error, nothing else.
+are 0 on success and 2 on any usage or validation error, or when memory
+runs out, nothing else.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .fileio import (
     write_predictions,
 )
 from .metrics import full_report
-from .schedule import StepDecaySchedule, schedule_table
+from .schedule import StepDecaySchedule, schedule_rows
 from .trainer import predict, train
 
 
@@ -174,7 +175,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     except ValueError:
         raise ValueError("--steps and --mults must be comma-separated numbers") from None
     schedule = StepDecaySchedule(args.base_lr, steps, mults)
-    for epoch, lr in schedule_table(schedule, args.epochs):
+    for epoch, lr in schedule_rows(schedule, args.epochs):
         print(f"{epoch}\t{lr:.10g}")
     return 0
 
@@ -196,7 +197,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code == 0 else 2
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, IndexError, OSError) as exc:
+    except (ValueError, IndexError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

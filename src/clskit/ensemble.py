@@ -20,8 +20,20 @@ exact sum strictly inside the value's rounding interval.  Elements it
 cannot prove (near rounding ties with nonzero remainders, extreme
 cancellation, exact zeros, whose sign is ``math.fsum``'s to decide, and
 non-finite intermediates) are summed by ``math.fsum`` itself.  The kernel
-works in blocks of at most :data:`CHUNK_ELEMENTS` values, and the sweep
-fuses its grid points in chunks of the same budget.
+works in blocks of at most :data:`CHUNK_ELEMENTS` values.
+
+The sweep makes its weight grid chunk by chunk, in the grid's order, so its
+memory is that of one chunk however many points the grid has.  The top-1,
+top-5 and mean-class-accuracy objectives only compare fused values within
+a row, so the sweep filters before it sums exactly (the "filter, then exact"
+pattern of Shewchuk, "Adaptive Precision Floating-Point Arithmetic and Fast
+Robust Geometric Predicates", 1997): one matrix product per chunk gives a
+plain float value of every fused element and a bound on its distance from
+the correctly rounded one.  A row whose every class margin to the true
+class exceeds the two bounds is ranked by the floats; only the rest, the
+near ties, are fused exactly and ranked by the metrics' rule.  Either way
+each point's score is the one :func:`fuse`'s output gets.  mAP and mAUC
+need the values themselves and fuse every point exactly.
 """
 
 from __future__ import annotations
@@ -33,7 +45,8 @@ from typing import Sequence
 import numpy as np
 
 from .metrics import (
-    _topk_hits,
+    _class_accuracy,
+    _topk_rows,
     mean_auc,
     mean_average_precision,
     mean_class_accuracy,
@@ -53,7 +66,10 @@ CHUNK_ELEMENTS = 1 << 14
 OBJECTIVES = ("top1", "top5", "mca", "map", "mauc")
 
 _UNIT_ROUNDOFF = 2.0**-53
+_SMALLEST_SUBNORMAL = 2.0**-1074
 _VECSUM_PASSES = 2
+# Safety factor of the sweep filter's error bound (see _filter_values).
+_FILTER_FACTOR = 4.0
 
 
 @dataclass(frozen=True)
@@ -215,6 +231,106 @@ def _composition_grid(total: int, parts: int) -> np.ndarray:
     return np.column_stack([prefixes, total - prefixes.sum(axis=1)])
 
 
+def _grid_blocks(total: int, parts: int, size: int):
+    """The rows of ``_composition_grid(total, parts)``, in order, as blocks of
+    at most ``size`` rows: a grid that fits is made whole, a two-part grid is
+    sliced, and a larger one is split by its leading part."""
+    if math.comb(total + parts - 1, parts - 1) <= size:
+        yield _composition_grid(total, parts)
+    elif parts == 2:
+        for start in range(0, total + 1, size):
+            heads = np.arange(start, min(start + size, total + 1))
+            yield np.column_stack([heads, total - heads])
+    else:
+        for head in range(total + 1):
+            for block in _grid_blocks(total - head, parts - 1, size):
+                yield np.column_stack([np.full(len(block), head), block])
+
+
+def _grid_chunks(total: int, parts: int, size: int):
+    """``_composition_grid(total, parts)`` cut into consecutive chunks of
+    ``size`` rows (the last may be shorter), made from blocks of at most
+    about :data:`CHUNK_ELEMENTS` values, so the whole grid never exists."""
+    pending = np.zeros((0, parts), dtype=np.int64)
+    for block in _grid_blocks(total, parts, max(size, CHUNK_ELEMENTS // parts)):
+        block = np.concatenate([pending, block])
+        cut = len(block) - len(block) % size
+        for start in range(0, cut, size):
+            yield block[start:start + size]
+        pending = block[cut:]
+    if len(pending):
+        yield pending
+
+
+def _filter_values(
+    weights: np.ndarray, flat: np.ndarray, abs_flat: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Plain float values ``f`` of the fused elements at the ``(G, M)`` weight
+    points over the ``(M, L)`` members ``flat``, and bounds ``b`` such that
+    :func:`fuse` gives a value within ``b`` of ``f``, element for element.
+
+    Fuse rounds each product ``w_k p_k`` and then the exact sum of the
+    products; ``f`` is a dot product in whatever order and with whatever
+    fused multiply-adds the matrix kernel uses.  With ``S = sum |w_k p_k|``,
+    the two differ by at most about ``(M + 2) u S + (M + 1) eta`` (unit
+    roundoff ``u``, smallest subnormal ``eta``, the underflow term).  The
+    factor 4 over ``M (u S + eta)`` leaves room for the rounding of ``S``, of
+    ``b`` itself and of the margins it is compared with.
+    """
+    scale = _FILTER_FACTOR * len(flat)
+    bound = weights @ abs_flat
+    bound *= scale * _UNIT_ROUNDOFF
+    bound += scale * _SMALLEST_SUBNORMAL
+    return weights @ flat, bound
+
+
+def _filter_topk_rows(
+    f: np.ndarray, b: np.ndarray, y: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k hit masks ``(G, n)`` of the rows of class-major ``(G, C, n)``
+    float values ``f``, and the mask of the rows where they are proven to be
+    the hits of exact values that each lie within ``b`` of their ``f``.
+    Both inputs are overwritten in the process.
+
+    A row is proven when every other class's margin to the true class
+    exceeds the sum of their bounds, so that no exact values within the
+    bounds can tie or swap them, and when every ``f + b`` of the row is
+    finite (no overflow, here or in the exact sum).
+    """
+    num_classes, n = f.shape[1:]
+    at_target = y * n + np.arange(n)
+    finite = np.isfinite(f + b)
+    f -= f.reshape(len(f), -1)[:, at_target][:, None]  # the margins
+    b += b.reshape(len(b), -1)[:, at_target][:, None]
+    apart = np.abs(f) > b
+    apart |= np.arange(num_classes)[:, None] == y
+    apart &= finite
+    return np.count_nonzero(f > 0, axis=1) < k, apart.all(axis=1)
+
+
+def _sweep_topk_rows(
+    weights: np.ndarray, stack: np.ndarray, flat: np.ndarray, abs_flat: np.ndarray,
+    y: np.ndarray, k: int,
+) -> np.ndarray:
+    """``(G, n)`` top-k hit masks of what :func:`fuse` returns at each of the
+    G weight points for the ``(M, n, C)`` members ``stack``, whose values
+    ``flat`` holds class-major: the float filter decides the rows it
+    proves, and the rest are fused exactly."""
+    m, n, num_classes = stack.shape
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows go exact
+        f, b = _filter_values(weights, flat, abs_flat)
+        hits, proven = _filter_topk_rows(
+            f.reshape(-1, num_classes, n), b.reshape(-1, num_classes, n), y, k
+        )
+    points, rows = np.nonzero(~proven)
+    step = max(1, CHUNK_ELEMENTS // (m * num_classes))
+    for start in range(0, points.size, step):
+        p, r = points[start:start + step], rows[start:start + step]
+        fused = _exact_sum(weights.T[:, p, None] * stack[:, r])
+        hits[p, r] = _topk_rows(fused, y[r], k)
+    return hits
+
+
 def sweep_weights(
     preds: Sequence[np.ndarray],
     labels: np.ndarray,
@@ -245,22 +361,33 @@ def sweep_weights(
     n, num_classes = mats[0].shape
     y = check_labels(labels, n, num_classes)
     score_fn = _objective_fn(objective, num_classes)
-    grid = _composition_grid(resolution, m)
     if _identical(mats):
-        # Every point fuses to mats[0] exactly, so all tie and the first wins.
-        return grid[0] / resolution, score_fn(mats[0], y)
-    k = _topk_of(objective, num_classes)
-    stack = np.stack(mats)[:, None]
-    points_per_chunk = max(1, CHUNK_ELEMENTS // stack.size)
-    best_index, best_score = 0, -math.inf
-    for start in range(0, len(grid), points_per_chunk):
-        weights = grid[start:start + points_per_chunk] / resolution
-        fused = _exact_sum(weights.T[:, :, None, None] * stack)
-        if k is None:
-            scores = [score_fn(f, y) for f in fused]
-        else:
-            scores = _topk_hits(fused, y, k) / n
+        # Every point fuses to mats[0] exactly, so all tie and the first, all
+        # weight on the last member, wins.
+        return np.eye(m)[-1], score_fn(mats[0], y)
+    stack = np.stack(mats)
+    k = 1 if objective == "mca" else _topk_of(objective, num_classes)
+    if k is None:
+        # mAP and mAUC need the fused values themselves.
+        points_per_chunk = max(1, CHUNK_ELEMENTS // stack.size)
+
+        def score_chunk(weights):
+            fused = _exact_sum(weights.T[:, :, None, None] * stack[:, None])
+            return [score_fn(f, y) for f in fused]
+    else:
+        points_per_chunk = max(1, CHUNK_ELEMENTS // (n * num_classes))
+        flat = stack.transpose(0, 2, 1).reshape(m, -1)
+        abs_flat = np.abs(flat)
+
+        def score_chunk(weights):
+            hits = _sweep_topk_rows(weights, stack, flat, abs_flat, y, k)
+            if objective == "mca":
+                return _class_accuracy(hits, y, num_classes)
+            return np.count_nonzero(hits, axis=1) / n
+    best_point, best_score = None, -math.inf
+    for chunk in _grid_chunks(resolution, m, points_per_chunk):
+        scores = score_chunk(chunk / resolution)
         i = int(np.argmax(scores))
         if scores[i] > best_score:
-            best_index, best_score = start + i, float(scores[i])
-    return grid[best_index] / resolution, best_score
+            best_point, best_score = chunk[i], float(scores[i])
+    return best_point / resolution, best_score

@@ -66,14 +66,31 @@ class MetricReport:
         return "\n".join(f"{name:<5} {value:>7}" for name, value in rows)
 
 
-def _topk_hits(scores: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
-    """Count, along the row axis of ``(..., n, C)`` scores, the rows whose
-    true class is among the k highest: fewer than k classes score strictly
-    higher or tie it with a lower index."""
+def _topk_rows(scores: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
+    """Mask of the rows of ``(..., n, C)`` scores whose true class is among
+    the k highest: fewer than k classes score strictly higher or tie it with
+    a lower index."""
     n, num_classes = scores.shape[-2:]
     target = scores[..., np.arange(n), y][..., None]
     ahead = (scores > target) | ((scores == target) & (np.arange(num_classes) < y[:, None]))
-    return np.count_nonzero(np.count_nonzero(ahead, axis=-1) < k, axis=-1)
+    return np.count_nonzero(ahead, axis=-1) < k
+
+
+def _topk_hits(scores: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
+    """Count, along the row axis of ``(..., n, C)`` scores, the rows
+    :func:`_topk_rows` marks."""
+    return np.count_nonzero(_topk_rows(scores, y, k), axis=-1)
+
+
+def _class_accuracy(hits: np.ndarray, y: np.ndarray, num_classes: int) -> np.ndarray:
+    """Mean over the classes present in ``y`` of the share of their rows that
+    ``(..., n)`` hit masks mark: each recall is a ratio of exact integer
+    counts (sums of ones, exact in floats), and the recalls are summed in
+    class order, one after another."""
+    totals = np.bincount(y, minlength=num_classes)
+    present = np.flatnonzero(totals)
+    correct = hits @ (y[:, None] == present).astype(float)
+    return np.cumsum(correct / totals[present], axis=-1)[..., -1] / present.size
 
 
 def topk_accuracy(preds: np.ndarray, labels: np.ndarray, k: int) -> float:
@@ -96,15 +113,7 @@ def mean_class_accuracy(preds: np.ndarray, labels: np.ndarray) -> float:
     n, num_classes = scores.shape
     y = check_labels(labels, n, num_classes)
     top1 = np.argmax(scores, axis=1)  # first max, so ties go to the lower class
-    recalls = []
-    for c in range(num_classes):
-        members = y == c
-        total = int(np.count_nonzero(members))
-        if total == 0:
-            continue
-        correct = int(np.count_nonzero(top1[members] == c))
-        recalls.append(correct / total)
-    return sum(recalls) / len(recalls)
+    return float(_class_accuracy(top1 == y, y, num_classes))
 
 
 def mean_average_precision(preds: np.ndarray, labels: np.ndarray) -> float:

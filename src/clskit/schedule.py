@@ -6,7 +6,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterator, Sequence
 
 # Default fine-tuning schedule: base 1e-4 decayed by 0.7/0.5/0.3/0.1 at
 # epochs 2/4/6/8.
@@ -70,8 +70,15 @@ def lr_at(schedule: StepDecaySchedule, epoch: int) -> float:
     return schedule.base_lr * schedule.multipliers[i]
 
 
-def schedule_table(schedule: StepDecaySchedule, num_epochs: int) -> list[tuple[int, float]]:
-    """(epoch, lr) rows for epochs 0 .. num_epochs - 1."""
+def schedule_rows(schedule: StepDecaySchedule, num_epochs: int) -> Iterator[tuple[int, float]]:
+    """(epoch, lr) rows for epochs 0 .. num_epochs - 1, one at a time, so any
+    number of epochs takes constant memory; ``num_epochs`` is checked at
+    the call."""
     if num_epochs < 1:
         raise ValueError(f"num_epochs must be >= 1, got {num_epochs}")
-    return [(epoch, lr_at(schedule, epoch)) for epoch in range(num_epochs)]
+    return ((epoch, lr_at(schedule, epoch)) for epoch in range(num_epochs))
+
+
+def schedule_table(schedule: StepDecaySchedule, num_epochs: int) -> list[tuple[int, float]]:
+    """(epoch, lr) rows for epochs 0 .. num_epochs - 1."""
+    return list(schedule_rows(schedule, num_epochs))

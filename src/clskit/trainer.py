@@ -220,7 +220,13 @@ def train(
             batch = order[start : start + config.batch_size]
             x = train_set.features[batch]
             hidden, logits = _layers(model, x)
-            losses, g_logits = loss_rows(softmax_rows(logits), train_set.labels[batch], config.loss)
+            try:
+                probs = softmax_rows(logits)
+            except ValueError as exc:  # diverged: say where
+                raise ValueError(
+                    f"epoch {epoch} batch {start // config.batch_size}: {exc}"
+                ) from None
+            losses, g_logits = loss_rows(probs, train_set.labels[batch], config.loss)
             loss_total += float(losses.sum())
             grad_backbone = None
             if not frozen:

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from clskit import fileio
 from clskit.cli import main
 from clskit.fileio import read_predictions, write_labels, write_predictions
+from clskit.schedule import default_schedule, schedule_table
 
 EIGHT_SAMPLE_SCORES = np.array(
     [
@@ -398,6 +400,52 @@ def test_schedule_non_ascending_exits_2(capsys):
 def test_schedule_unparsable_flag_exits_2(capsys):
     assert main(["schedule", "--steps", "0;2", "--mults", "1"]) == 2
     assert "comma-separated" in capsys.readouterr().err
+
+
+class _Full(Exception):
+    pass
+
+
+class _ShortStdout:
+    """A stdout that keeps what it is written and fails past ``limit`` lines."""
+
+    def __init__(self, limit):
+        self.limit, self.text = limit, []
+
+    def write(self, text):
+        self.text.append(text)
+        if "".join(self.text).count("\n") > self.limit:
+            raise _Full
+
+    def flush(self):
+        pass
+
+
+def test_schedule_streams_rows_of_a_huge_table(monkeypatch):
+    # 10**20 rows would never fit in memory; the rows printed before stdout
+    # gives up must be the table's first ones
+    out = _ShortStdout(300)
+    monkeypatch.setattr("sys.stdout", out)
+    with pytest.raises(_Full):
+        main(["schedule", "--epochs", "100000000000000000000"])
+    lines = "".join(out.text).splitlines()[:300]
+    table = schedule_table(default_schedule(), 300)
+    assert lines == [f"{epoch}\t{lr:.10g}" for epoch, lr in table]
+
+
+def test_out_of_memory_exits_2(tmp_path, monkeypatch, capsys):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 5.96 GiB for an array")
+
+    monkeypatch.setattr(fileio, "synth_dataset", no_memory)
+    config = tmp_path / "big.json"
+    config.write_text(json.dumps({"dataset": {"dims": 100000000}}))
+    out_train, out_val = tmp_path / "tr.csv", tmp_path / "va.csv"
+    assert main(["train", "--config", str(config),
+                 "--out-train", str(out_train), "--out-val", str(out_val)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: Unable to allocate 5.96 GiB for an array\n"
+    assert not out_train.exists() and not out_val.exists()
 
 
 # -- parser-level behavior ---------------------------------------------------

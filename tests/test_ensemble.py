@@ -1,10 +1,14 @@
 """Fusion exactness properties and the simplex weight sweep."""
 
 import math
+import tracemalloc
+from contextlib import contextmanager
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clskit import ensemble
@@ -13,6 +17,10 @@ from clskit.ensemble import (
     EnsembleMember,
     _composition_grid,
     _exact_sum,
+    _filter_topk_rows,
+    _filter_values,
+    _grid_blocks,
+    _grid_chunks,
     fuse,
     sweep_weights,
 )
@@ -292,6 +300,203 @@ def test_composition_grid_keeps_recursive_lex_order(parts):
     for total in range(1, 9):
         grid = _composition_grid(total, parts)
         assert grid.tolist() == [list(c) for c in _compositions(total, parts)]
+
+
+MAX_POINTS = ensemble.MAX_GRID_POINTS
+
+
+@pytest.mark.parametrize("total, parts, size", [
+    (8, 2, 3), (8, 3, 1), (8, 3, 4), (8, 4, 7), (8, 5, 16), (20, 4, 13), (3, 5, 1000),
+])
+def test_grid_chunks_cut_the_grid_in_order(total, parts, size, monkeypatch):
+    monkeypatch.setattr(ensemble, "CHUNK_ELEMENTS", 12)  # many small blocks
+    chunks = list(_grid_chunks(total, parts, size))
+    assert all(len(c) == size for c in chunks[:-1]) and 1 <= len(chunks[-1]) <= size
+    assert np.array_equal(np.concatenate(chunks), _composition_grid(total, parts))
+
+
+def test_two_member_grid_near_the_cap_comes_in_full_blocks():
+    total = MAX_POINTS - 1
+    blocks = list(_grid_blocks(total, 2, 4096))
+    assert all(len(block) == 4096 for block in blocks[:-1])
+    assert np.array_equal(np.concatenate([block[:, 0] for block in blocks]),
+                          np.arange(total + 1))
+    assert all(np.all(block.sum(axis=1) == total) for block in blocks)
+
+
+def test_capped_five_member_sweep_memory_is_per_chunk():
+    # comb(66 + 4, 4) = 916 895 points; the whole grid alone would take 37 MB
+    rng = np.random.default_rng(35)
+    members = random_members(rng, 5, n=2, num_classes=3)
+    labels = np.array([0, 2])
+    assert math.comb(66 + 4, 4) <= MAX_POINTS
+    tracemalloc.start()
+    try:
+        sweep_weights(members, labels, 66)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+# -- sweep filter ----------------------------------------------------------
+
+@st.composite
+def filter_cases(draw):
+    """Members of adversarial finite values (subnormals, cancellation, up to
+    1e300) and weight points of one grid."""
+    m = draw(st.integers(2, 5))
+    size = draw(st.integers(1, 12))
+    entry = st.one_of(
+        st.floats(-1e300, 1e300), st.sampled_from([v for v in ADVERSARIAL if abs(v) <= 1e300]),
+        sparse,
+        st.integers(0, 9).map(lambda k: k * 5e-324),
+    )
+    flat = np.array(draw(st.lists(st.lists(entry, min_size=size, max_size=size),
+                                  min_size=m, max_size=m)))
+    resolution = draw(st.integers(1, 12))
+    grid = _composition_grid(resolution, m)
+    rows = draw(st.lists(st.integers(0, len(grid) - 1), min_size=1, max_size=6))
+    return grid[rows] / resolution, flat
+
+
+@settings(max_examples=300)
+@given(filter_cases())
+def test_filter_bound_holds_fuses_value(case):
+    weights, flat = case
+    f, b = _filter_values(weights, flat, np.abs(flat))
+    exact = _exact_sum(weights.T[:, :, None] * flat[:, None])
+    for got, bound, want in zip(f.ravel(), b.ravel(), exact.ravel()):
+        if math.isfinite(got + bound):
+            assert abs(Fraction(got) - Fraction(want)) <= Fraction(bound)
+
+
+def test_filter_proves_only_margins_beyond_the_bounds():
+    # one point, class-major: classes 0-2 of rows 0-2, true class 1 each
+    f = np.array([[[0.5, 0.75, 0.5], [0.75, 0.75, 0.75], [0.25, 0.25, 0.25]]])
+    b = np.full_like(f, 0.125)
+    b[0, 0, 2] = 0.0625
+    y = np.array([1, 1, 1])
+    hits, proven = _filter_topk_rows(f.copy(), b.copy(), y, 1)
+    # row 0: margin 0.25 equals the bounds' sum; row 1: class 0 ties the
+    # target; row 2: margins 0.25 and 0.5 exceed 0.1875 and 0.25
+    assert proven.tolist() == [[False, False, True]]
+    assert hits[0, 2]
+    narrow = b.copy()
+    narrow[0, :2, 0] = np.nextafter(0.125, 0.0)  # sum 0.25 - 2**-55
+    assert _filter_topk_rows(f.copy(), narrow, y, 1)[1].tolist() == [[True, False, True]]
+    # a non-finite value or bound, or an f + b that overflows, leaves the
+    # row to the exact path
+    infinite = f.copy()
+    infinite[0, 0, 2] = np.inf
+    assert not _filter_topk_rows(infinite, b.copy(), y, 1)[1][0, 2]
+    wide = b.copy()
+    wide[0, 2, 2] = np.inf
+    assert not _filter_topk_rows(f.copy(), wide, y, 1)[1][0, 2]
+    big, big_bound = f.copy(), b.copy()
+    big[0, 1, 2], big_bound[0, 1, 2] = 1.7e308, 1e307
+    with np.errstate(over="ignore"):
+        assert not _filter_topk_rows(big.copy(), big_bound.copy(), y, 1)[1][0, 2]
+    big_bound[0, 1, 2] = 1e300  # 1.7e308 + 1e300 is finite
+    assert _filter_topk_rows(big, big_bound, y, 1)[1][0, 2]
+
+
+TINY = 5e-324
+
+
+@st.composite
+def tie_heavy_sweeps(draw):
+    """A sweep whose fused rows often tie or nearly tie: coarse rows with
+    exact ties, entries one ulp apart, members one ulp apart, rows shared by
+    every member, subnormal columns, prob rows with huge opposite-sign
+    entries, and logit members."""
+    m = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 6))
+    num_classes = draw(st.integers(2, 6))
+    score_type = draw(st.sampled_from(["prob", "prob", "logit"]))
+    resolution = draw(st.integers(1, {2: 8, 3: 5, 4: 3, 5: 2}[m]))
+
+    def coarse(size):
+        counts = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size).filter(any))
+        return np.array(counts, dtype=float) / sum(counts)
+
+    def row():
+        kind = draw(st.sampled_from(["coarse", "ulp", "subnormal", "huge"]))
+        if kind == "huge" and num_classes >= 3:
+            h = draw(st.sampled_from([1e300, -1e300, 2.0**1000]))
+            return np.concatenate([[h, -h], coarse(num_classes - 2)])
+        if kind == "subnormal":
+            j = draw(st.integers(0, num_classes - 1))
+            return np.insert(coarse(num_classes - 1), j, draw(st.integers(0, 7)) * TINY)
+        values = coarse(num_classes)
+        if kind == "ulp":
+            j = draw(st.integers(0, num_classes - 1))
+            values[j] = np.nextafter(values[j], draw(st.sampled_from([-1.0, 2.0])))
+        return values
+
+    shared = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    base = [row() for _ in range(n)]
+    members = []
+    for k in range(m):
+        if k and draw(st.booleans()):  # the first member, some entries one ulp off
+            member = members[0].copy()
+            for _ in range(draw(st.integers(1, 3))):
+                i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, num_classes - 1))
+                if abs(member[i, j]) <= 1.0:  # a huge entry's ulp would break the row sum
+                    member[i, j] = np.nextafter(member[i, j], draw(st.sampled_from([-1.0, 2.0])))
+        else:
+            member = np.stack([base[i] if shared[i] else row() for i in range(n)])
+        members.append(member)
+    labels = np.array(draw(st.lists(st.integers(0, num_classes - 1), min_size=n, max_size=n)))
+    return members, labels, resolution, score_type
+
+
+@contextmanager
+def counting_exact_sums():
+    calls = []
+    real = ensemble._exact_sum
+
+    def counting(products):
+        calls.append(None)
+        return real(products)
+
+    with mock.patch.object(ensemble, "_exact_sum", counting):
+        yield calls
+
+
+def test_filtered_sweep_matches_brute_force_on_near_ties():
+    fell_back = []
+
+    @settings(max_examples=150)
+    @given(tie_heavy_sweeps(), st.sampled_from([ensemble.CHUNK_ELEMENTS, 50]))
+    def check(case, chunk):
+        members, labels, resolution, score_type = case
+        for objective in ("top1", "top5", "mca"):
+            want_weights, want_score = reference_sweep(
+                members, labels, resolution, objective, score_type
+            )
+            with mock.patch.object(ensemble, "CHUNK_ELEMENTS", chunk), \
+                    counting_exact_sums() as calls:
+                weights, score = sweep_weights(
+                    members, labels, resolution, objective, score_type
+                )
+            assert np.array_equal(bits(weights), bits(want_weights))
+            assert type(score) is float and score == want_score
+            fell_back.append(bool(calls))
+
+    check()
+    # the exact path ran on a fixed share of the sweeps, so it is tested too
+    assert sum(fell_back) >= len(fell_back) // 3
+
+
+def test_filter_decides_every_row_without_near_ties():
+    rng = np.random.default_rng(36)
+    members = random_members(rng, 4, n=50, num_classes=6)
+    labels = rng.integers(0, 6, size=50)
+    for objective in ("top1", "top5", "mca"):
+        with counting_exact_sums() as calls:
+            sweep_weights(members, labels, 6, objective)
+        assert calls == []
 
 
 def test_sweep_prefers_strictly_dominant_member():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clskit import trainer
 from clskit.losses import LOSS_FORMS, LossConfig, loss_grad
 from clskit.numerics import softmax
 from clskit.schedule import FreezePolicy, StepDecaySchedule, default_schedule
@@ -151,6 +152,25 @@ def test_train_is_deterministic():
     assert np.array_equal(m1.head_weights, m2.head_weights)
     assert np.array_equal(m1.head_bias, m2.head_bias)
     assert log1 == log2
+
+
+def test_divergence_names_epoch_and_batch(monkeypatch):
+    # 120 rows in batches of 32: 4 batch calls and 1 predict call per epoch,
+    # so the 8th call is epoch 1's batch 2
+    real = trainer.softmax_rows
+    calls = []
+
+    def diverging(logits):
+        calls.append(None)
+        if len(calls) == 8:
+            raise ValueError("logits must be finite")
+        return real(logits)
+
+    monkeypatch.setattr(trainer, "softmax_rows", diverging)
+    tr, va = small_problem()
+    with pytest.raises(ValueError) as info:
+        train(tr, va, recipe_config(epochs=3))
+    assert str(info.value) == "epoch 1 batch 2: logits must be finite"
 
 
 def test_train_seed_matters():
