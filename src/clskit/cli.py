@@ -3,7 +3,7 @@
 Every command is a pure function of its arguments and input files, so
 re-running any of them reproduces output files byte-for-byte. Exit codes
 are 0 on success and 2 on any usage or validation error, or when memory
-runs out, nothing else.
+runs out or a size is past what numpy can index, nothing else.
 """
 
 from __future__ import annotations
@@ -197,7 +197,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code == 0 else 2
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, IndexError, OSError, MemoryError) as exc:
+    except (ValueError, IndexError, OSError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,17 +7,17 @@ format round-trips below every tolerance used in this package.  All text
 is UTF-8 with LF line endings, and writing is deterministic: identical
 inputs produce identical bytes.
 
-Files are read and written in blocks of about ``CHUNK_ELEMENTS`` values.
 A file is read once as bytes.  When every value has the fixed-point form
 the writers print (``-?\\d{1,6}\\.\\d{9}`` for predictions, up to 18 digits
-for labels), one numpy kernel parses it from the bytes with exact integer
-digit arithmetic, giving the same bits as ``float``.  Any other file, such as
-a value in another float syntax, goes to the general path: each block of
-lines is split, parsed with ``float`` (or ``int``) and checked with batched
-tests, and a block that fails one is read again line by line to report its
-first bad line.  Every file is written to a temporary file beside its
-target, which replaces the target only once it is complete, so a failed
-write leaves no partial file behind.
+for labels), one numpy kernel parses it from the bytes in blocks of about
+``CHUNK_ELEMENTS`` values with exact integer digit arithmetic, giving the
+same bits as ``float``.  Any other file, such as a value in another float
+syntax, goes to the general path: it is read line by line, each cell parsed
+with ``float`` (or ``int``), and its first bad line raises the error.
+Predictions are written in blocks of about ``CHUNK_ELEMENTS`` values.
+Every file is written to a temporary file beside its target, which replaces
+the target only once it is complete, so a failed write leaves no partial
+file behind.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import os
@@ -203,13 +202,6 @@ def _read_head(path: str) -> tuple[bytes, str]:
     return data, data[:end if end >= 0 else len(data)].decode("utf-8")
 
 
-def _split_lines(text: str) -> list[str]:
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    return lines
-
-
 @functools.cache
 def _cell_layout(digits: int, decimals: int):
     """The byte slots of the widest cell ``-?\\d{digits}(\\.\\d{decimals})?``:
@@ -303,14 +295,6 @@ def _parse_number(text: str, where: str) -> float:
     return value
 
 
-def _parse_numbers(texts: list[str]) -> np.ndarray | None:
-    try:
-        values = np.fromiter(map(float, texts), dtype=float, count=len(texts))
-    except ValueError:
-        return None
-    return values if np.isfinite(values).all() else None
-
-
 def _parse_label(text: str, where: str) -> int:
     if not _LABEL.fullmatch(text):
         raise ValueError(f"{where}: bad label {text!r}")
@@ -320,49 +304,27 @@ def _parse_label(text: str, where: str) -> int:
     return label
 
 
-def _parse_labels(texts: list[str]) -> list[int] | None:
-    # Unsigned digit strings need no message; signed ones go to the line parser.
-    if "" in texts or not "".join(texts).isdecimal():
-        return None
-    try:
-        return list(map(int, texts))
-    except ValueError:
-        return None
-
-
-def _read_rows(path: str, lines: list[str], width: int, parse_block, parse_text):
-    """Ids and value blocks of the data lines ``lines[1:]``, each an id and
-    ``width - 1`` values.
-
-    Blocks of lines are split, parsed by ``parse_block`` (None when any text
-    needs an error) and checked with batched tests.  A block that fails is
-    read again line by line with ``parse_text``, which raises the error of its
-    first bad line, numbered as in the file.
-    """
+def _read_lines(path: str, data: bytes, width: int, parse) -> tuple[list[str], list]:
+    """Ids and values of the data lines of ``data``, each an id and
+    ``width - 1`` cells parsed by ``parse``, read line by line: the first bad
+    line raises its error, numbered as in the file."""
+    lines = data.decode("utf-8").split("\n")
+    if lines[-1] == "":
+        lines.pop()
     ids: list[str] = []
-    chunks = []
+    values = []
     seen: set[str] = set()
-    step = max(1, CHUNK_ELEMENTS // (width - 1))
-    for start in range(1, len(lines), step):
-        block = lines[start:start + step]
-        fields = ",".join(block).split(",")
-        block_ids = fields[::width]
-        del fields[::width]
-        values = None
-        if set(map(str.count, block, itertools.repeat(","))) == {width - 1}:
-            values = parse_block(fields)
-        if values is None or not _fresh_ids(block_ids, seen):
-            block_ids, values = [], []
-            for lineno, line in enumerate(block, start=start + 1):
-                row = line.split(",")
-                if len(row) != width:
-                    raise ValueError(f"{path}:{lineno}: expected {width} columns, got {len(row)}")
-                _check_ids(row[:1], seen, f"{path}:{lineno}")
-                block_ids.append(row[0])
-                values.extend(parse_text(text, f"{path}:{lineno}") for text in row[1:])
-        ids.extend(block_ids)
-        chunks.append(values)
-    return ids, chunks
+    for lineno, line in enumerate(lines[1:], start=2):
+        where = f"{path}:{lineno}"
+        row = line.split(",")
+        if len(row) != width:
+            raise ValueError(f"{where}: expected {width} columns, got {len(row)}")
+        if not row[0] or row[0] in seen:
+            _check_ids(row[:1], seen, where)
+        seen.add(row[0])
+        ids.append(row[0])
+        values.extend([parse(text, where) for text in row[1:]])
+    return ids, values
 
 
 def read_predictions(path: str) -> tuple[list[str], np.ndarray]:
@@ -380,9 +342,8 @@ def read_predictions(path: str) -> tuple[list[str], np.ndarray]:
         raise ValueError(f"{path}:1: prediction file has no data rows")
     fixed = _fixed_point_rows(data, len(header_line) + 1, num_classes, 6, 9)
     if fixed is None:
-        lines = _split_lines(data.decode("utf-8"))
-        ids, chunks = _read_rows(path, lines, num_classes + 1, _parse_numbers, _parse_number)
-        return ids, np.concatenate(chunks).reshape(len(ids), num_classes)
+        ids, values = _read_lines(path, data, num_classes + 1, _parse_number)
+        return ids, np.array(values).reshape(len(ids), num_classes)
     # With at most 15 digits every magnitude is an integer below 2**53, exact
     # in float64, so one correctly rounded division gives float()'s bits,
     # -0.0 included.
@@ -412,10 +373,8 @@ def read_labels(path: str) -> tuple[list[str], list[int]]:
     if len(data) <= len(header) + 1:
         raise ValueError(f"{path}:1: label file has no data rows")
     fixed = _fixed_point_rows(data, len(header) + 1, 1, 18, 0)
-    if fixed is None or fixed[2].any():  # signed labels take the general parser
-        lines = _split_lines(data.decode("utf-8"))
-        ids, chunks = _read_rows(path, lines, 2, _parse_labels, _parse_label)
-        return ids, [label for chunk in chunks for label in chunk]
+    if fixed is None or fixed[2].any():  # signed labels take the line reader
+        return _read_lines(path, data, 2, _parse_label)
     return fixed[0], fixed[1].tolist()
 
 
@@ -479,9 +438,11 @@ class RunConfig:
 
 def _is_json(kind: type, value) -> bool:
     """Whether a JSON value has the annotated type ``kind``: bool is not an
-    int, and an int is a float."""
+    int, and an int is a float when ``float`` can hold it."""
     if isinstance(value, bool):
         return kind is bool
+    if kind is float and isinstance(value, int):
+        return abs(value) < 2**1024 - 2**970  # from here on float() overflows
     return isinstance(value, (int, float) if kind is float else kind)
 
 
@@ -548,10 +509,14 @@ def load_manifest(path: str) -> EnsembleManifest:
     for entry in members_data:
         if not isinstance(entry, dict) or set(entry) != {"path", "weight"}:
             raise ValueError(f"{path}: each member must be an object with 'path' and 'weight'")
-        member_path = str(entry["path"])
+        member_path, weight = entry["path"], entry["weight"]
+        if not isinstance(member_path, str):
+            raise ValueError(f"{path}: member 'path' must be str, got {member_path!r}")
+        if not _is_json(float, weight):
+            raise ValueError(f"{path}: member 'weight' must be float, got {weight!r}")
         if not os.path.isabs(member_path):
             member_path = os.path.join(base, member_path)
-        members.append(EnsembleMember(path=member_path, weight=float(entry["weight"])))
+        members.append(EnsembleMember(path=member_path, weight=float(weight)))
     return EnsembleManifest(members=tuple(members), score_type=data.get("score_type", "prob"))
 
 

@@ -45,18 +45,16 @@ def softmax(logits: np.ndarray) -> np.ndarray:
         raise ValueError("logits must be a 1-D vector with at least 2 entries")
     if not np.all(np.isfinite(z)):
         raise ValueError("logits must be finite")
-    shifted = z - z.max()
-    e = np.exp(shifted)
-    return e / e.sum()
+    return softmax_rows(z[None, :])[0]
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Row-wise :func:`softmax` of a matrix in one batched call.
 
-    Every row gets the bits ``softmax(row)`` gives: the steps are the same
-    element-wise operations, and each row sum is a reduction along the
-    contiguous last axis, which numpy sums pairwise exactly as it sums a
-    1-D vector.
+    A row's bits do not depend on its neighbours, so :func:`softmax` is a
+    one-row call: the steps are element-wise, and each row sum is a
+    reduction along the contiguous last axis, which numpy sums pairwise
+    exactly as it sums a 1-D vector.
     """
     z = np.ascontiguousarray(logits, dtype=float)
     if z.ndim != 2 or z.shape[1] < 2:

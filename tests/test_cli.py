@@ -1,12 +1,18 @@
 """Command-line behavior: exit codes, determinism, end-to-end consistency."""
 
+import contextlib
+import io
 import json
+import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clskit import fileio
 from clskit.cli import main
+from clskit.ensemble import OBJECTIVES, SCORE_TYPES
 from clskit.fileio import read_predictions, write_labels, write_predictions
 from clskit.schedule import default_schedule, schedule_table
 
@@ -262,6 +268,14 @@ def test_fuse_bad_weights_exit_2(tmp_path, capsys):
     assert "sum to 1" in capsys.readouterr().err
 
 
+def test_fuse_manifest_weight_of_the_wrong_json_type_exits_2(tmp_path, capsys):
+    manifest = tmp_path / "m.json"
+    doc = {"members": [{"path": "m.csv", "weight": None}, {"path": "m.csv", "weight": 0.5}]}
+    manifest.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["fuse", "--manifest", str(manifest), "--out", str(tmp_path / "f.csv")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {manifest}: member 'weight' must be float")
+
+
 def test_fuse_id_mismatch_exits_2(tmp_path, capsys):
     manifest = fused_setup(tmp_path)
     ids = [f"t{i}" for i in range(6)]
@@ -448,6 +462,16 @@ def test_out_of_memory_exits_2(tmp_path, monkeypatch, capsys):
     assert not out_train.exists() and not out_val.exists()
 
 
+def test_size_past_a_c_long_exits_2(tmp_path, capsys):
+    # numpy raises OverflowError on the size before it allocates anything
+    config = write_config(tmp_path, dataset={"n_train": 10**30})
+    out_train, out_val = tmp_path / "tr.csv", tmp_path / "va.csv"
+    assert main(["train", "--config", config,
+                 "--out-train", str(out_train), "--out-val", str(out_val)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out_train.exists() and not out_val.exists()
+
+
 # -- parser-level behavior ---------------------------------------------------
 
 def test_unknown_command_exits_2(capsys):
@@ -460,3 +484,201 @@ def test_missing_required_flag_exits_2(capsys):
 
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
+
+
+# -- fuzz: every input ends in exit 0 or 2 -------------------------------------
+# Config JSON, manifest JSON, CSV bytes and flag sets for every subcommand.
+# Most inputs are valid with at most one fault, so examples reach deep into
+# each command.  Sizes (rows, dims, hidden units, epochs, resolution) stay
+# small in every strategy, so no example allocates much or runs long; the
+# huge ones are covered by the patched-MemoryError tests above.
+
+size_junk = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(),
+                      st.text(max_size=3), st.lists(st.integers(0, 3), max_size=2), st.just({}))
+json_junk = st.one_of(size_junk, st.just(10**400), st.just(-1e308))
+rare = st.sampled_from([True] + [False] * 11)  # uniform, unlike small integers
+
+
+def damaged(draw, doc: dict, junk=json_junk) -> dict:
+    """``doc``, sometimes with one value replaced by junk or an unknown key."""
+    fault = draw(st.sampled_from(["none"] * 16 + ["value", "key"]))
+    if fault == "value" and doc:
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(junk)
+    elif fault == "key":
+        doc["unknown"] = draw(json_junk)
+    return doc
+
+
+schedules = st.sampled_from([  # steps and mults of one length, or of two
+    {}, {"steps": [0], "mults": [1.0]}, {"steps": [0, 1], "mults": [1, 0.5]},
+    {"steps": [0, 2, 4, 6, 8], "mults": [1, 0.7, 0.5, 0.3, 0.1]}, {"steps": [1], "mults": [1]},
+    {"steps": [0, 0], "mults": [1, 1]}, {"steps": [0], "mults": [0.0]}, {"steps": [0, 1]},
+])
+
+
+@st.composite
+def run_configs(draw):
+    # Junk for a field that sizes an allocation or a loop is never a big int.
+    dataset = damaged(draw, draw(st.fixed_dictionaries({}, optional={
+        "n_train": st.integers(2, 30),
+        "n_val": st.integers(2, 30),
+        "dims": st.integers(1, 6),
+        "classes": st.integers(2, 5),
+        "separation": st.floats(0, 10),
+        "seed": st.integers(0, 2**64),
+    })), size_junk)
+    config = draw(st.fixed_dictionaries({}, optional={
+        "epochs": st.integers(1, 3),
+        "batch_size": st.integers(1, 50),
+        "hidden_dim": st.integers(1, 8),
+        "base_lr": st.floats(1e-6, 10),
+        "epsilon": st.floats(0, 1),
+        "gamma": st.floats(0, 3),
+        "loss_form": st.sampled_from(["per_class_sum", "target_only", "x"]),
+        "clamp_floor": st.sampled_from([1e-12, 1e-6, 0.0]),
+        "freeze": st.booleans(),
+        "seed": st.integers(0, 2**64),
+        "dataset": st.just(dataset),
+    }))
+    return damaged(draw, {**config, **draw(schedules)}, size_junk)
+
+
+@st.composite
+def manifests(draw):
+    weights = draw(st.sampled_from([[0.5, 0.5], [0.25, 0.75], [1.0, 0.0], [0.25, 0.25, 0.5]] * 3
+                                   + [[0.6, 0.6], [1.0], [None, 0.5], [[0.5], 0.5], [True, 0.5],
+                                      [{}, 0.5], [10**400, 0.5]]))
+    paths = st.sampled_from(["p0.csv", "p1.csv", "p2.csv"] * 4 + ["missing.csv"])
+    members = [damaged(draw, {"path": draw(paths), "weight": w}) for w in weights]
+    doc = {"members": members}
+    if draw(st.booleans()):
+        doc["score_type"] = draw(st.sampled_from(["prob", "logit"] * 4 + ["energy"]))
+    return damaged(draw, doc)
+
+
+@st.composite
+def probability_rows(draw, num_classes):
+    # thousandths that sum to exactly 1, printed as clskit prints them
+    cuts = sorted(draw(st.lists(st.integers(0, 1000), min_size=num_classes - 1,
+                                max_size=num_classes - 1)))
+    return [f"{(b - a) / 1000:.9f}" for a, b in zip([0, *cuts], [*cuts, 1000])]
+
+
+CSV_FAULTS = ["none"] * 24 + ["syntax", "id", "cell", "columns", "classes", "bytes"]
+bad_cells = st.one_of(st.floats(-1e6, 1e6).map(repr), st.sampled_from(
+    ["0.5", "-0.000000000", "nan", "inf", "1e999", "x", "", " 1", "\u0663", "+2", "-1",
+     "99999999999999999999"]))
+
+
+@st.composite
+def csv_sets(draw):
+    """Three prediction files and a label file that share their ids and class
+    count, each sometimes with one fault: another float syntax (valid, but
+    off the fixed-point kernel), a bad id, cell or column count, another
+    class count, or arbitrary bytes."""
+    rows, num_classes = draw(st.integers(2, 12)), draw(st.integers(2, 4))
+
+    def csv(header, row, respell):
+        fault = draw(st.sampled_from(CSV_FAULTS))
+        if fault == "bytes":
+            return draw(st.binary(max_size=20))
+        width = draw(st.sampled_from([2, 3, 5])) if fault == "classes" else num_classes
+        lines = [[f"s{i}", *draw(row(width))] for i in range(rows)]
+        at = draw(st.integers(0, rows - 1))
+        if fault == "syntax":
+            lines = [[line[0], *map(respell, line[1:])] for line in lines]
+        elif fault == "id":
+            lines[at][0] = draw(st.sampled_from(["", "s0", "t"]))
+        elif fault == "cell":
+            lines[at][-1] = draw(bad_cells)
+        elif fault == "columns":
+            lines[at].pop()
+        return (header(width) + "".join(",".join(line) + "\n" for line in lines)).encode()
+
+    preds = [csv(lambda c: "id," + ",".join(f"c{j}" for j in range(c)) + "\n", probability_rows,
+                 lambda cell: str(float(cell))) for _ in range(3)]
+    labels = csv(lambda c: "id,label\n",
+                 lambda c: st.integers(0, c - 1).map(lambda label: [str(label)]),
+                 lambda cell: "+" + cell)
+    return preds, labels
+
+
+# Names a flag can point at: "dir" is a directory, "missing.csv" is never
+# written.
+FILES = ["p0.csv", "p1.csv", "p2.csv", "labels.csv", "run.json", "m.json", "missing.csv",
+         "dir", "out.csv", "out2.csv", "emit.json"]
+
+
+@st.composite
+def argvs(draw):
+    def flag(first, *others):  # rarely one of the others
+        return draw(st.sampled_from(others)) if others and draw(rare) else first
+
+    command = draw(st.sampled_from(["train", "eval", "fuse", "sweep", "schedule"]))
+    if command == "train":
+        argv = ["--config", flag("run.json", "m.json", "missing.csv"),
+                "--out-train", flag("out.csv", "dir"), "--out-val", flag("out2.csv", "out.csv")]
+        for name, value in [("--train-labels", "labels.csv"), ("--val-labels", "emit.json"),
+                            ("--seed", flag("3", "0", "-1", "x", str(2**64)))]:
+            if draw(st.booleans()):
+                argv += [name, value]
+    elif command == "eval":
+        argv = ["--preds", flag(draw(st.sampled_from(["p0.csv", "p1.csv"])), "missing.csv",
+                                "labels.csv", "dir"),
+                "--labels", flag("labels.csv", "p0.csv", "missing.csv")]
+        argv += ["--json"] * draw(st.integers(0, 1))
+    elif command == "fuse":
+        argv = ["--manifest", flag("m.json", "run.json", "missing.csv"),
+                "--out", flag("out.csv", "dir")]
+    elif command == "sweep":
+        count = flag(2, 3, 1)
+        names = [flag(f"p{k}.csv", "missing.csv", "labels.csv") for k in range(count)]
+        argv = [arg for name in names for arg in ("--preds", name)]
+        argv += ["--labels", flag("labels.csv", "p0.csv"),
+                 "--resolution", flag(draw(st.sampled_from("1245")), "-1", "0", "x"),
+                 "--objective", flag(draw(st.sampled_from(OBJECTIVES)), "bad"),
+                 "--score-type", flag(draw(st.sampled_from(SCORE_TYPES)), "bad")]
+        argv += ["--json"] * draw(st.integers(0, 1))
+        argv += ["--emit-manifest", flag("emit.json", "dir")] * draw(st.integers(0, 1))
+    else:
+        argv = ["--base-lr", flag("1e-4", "0", "-1", "nan", "inf", "x"),
+                "--steps", flag("0,2,4,6,8", "0", "0,0", "1,2", "", "0;2", "0,x"),
+                "--mults", flag("1,0.7,0.5,0.3,0.1", "1", "1,2", "", "nan"),
+                "--epochs", flag(draw(st.sampled_from(["1", "3", "12"])), "-1", "0", "x")]
+    if draw(rare):  # a flag or value dropped
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    return [command, *argv]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300)
+@given(argv=argvs(), csvs=csv_sets(), run_config=run_configs(), manifest=manifests(),
+       json_form=st.sampled_from(["object"] * 22 + ["bytes", "other"]),
+       raw_json=st.binary(max_size=12), junk=json_junk)
+def test_main_exits_0_or_2_without_a_traceback(fuzz_dir, argv, csvs, run_config, manifest,
+                                               json_form, raw_json, junk):
+    shutil.rmtree(fuzz_dir)
+    (fuzz_dir / "dir").mkdir(parents=True)
+    preds, label_csv = csvs
+    for k, data in enumerate(preds):
+        (fuzz_dir / f"p{k}.csv").write_bytes(data)
+    (fuzz_dir / "labels.csv").write_bytes(label_csv)
+    (fuzz_dir / "run.json").write_text(json.dumps(run_config), encoding="utf-8")
+    (fuzz_dir / "m.json").write_text(json.dumps(manifest), encoding="utf-8")
+    for name in ["run.json", "m.json"]:
+        if json_form == "bytes":  # that may not be JSON at all
+            (fuzz_dir / name).write_bytes(raw_json)
+        elif json_form == "other":  # JSON, but not an object
+            (fuzz_dir / name).write_text(json.dumps(junk), encoding="utf-8")
+    argv = [str(fuzz_dir / arg) if arg in FILES else arg for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2 and not err.getvalue().startswith("usage:"):
+        assert err.getvalue().startswith("error: ")

@@ -253,6 +253,13 @@ def test_load_manifest_rejects_bad_documents(tmp_path):
         "score_type",
     )
     expect_error({"members": [], "extra": 1}, "unknown manifest keys")
+    for weight in [None, [0.5], True, 10**400]:
+        expect_error(
+            {"members": [{"path": "a", "weight": weight}, {"path": "b", "weight": 0.5}]},
+            f"{path}: member 'weight' must be float, got {weight!r}",
+        )
+    expect_error({"members": [{"path": 3, "weight": 0.5}, {"path": "b", "weight": 0.5}]},
+                 f"{path}: member 'path' must be str, got 3")
 
 
 def test_write_manifest_rejects_bad_score_type(tmp_path):
@@ -550,8 +557,7 @@ def test_clskit_written_files_are_read_without_the_general_parser(tmp_path):
     zero_path = tmp_path / "z.csv"  # clskit never writes a negative zero
     zero_path.write_text("id,c0,c1\na,-0.000000000,1.000000000\n", encoding="utf-8")
     general = mock.Mock(side_effect=AssertionError("general parser called"))
-    with mock.patch.multiple(fileio, _read_rows=general, _parse_numbers=general,
-                             _parse_labels=general):
+    with mock.patch.object(fileio, "_read_lines", general):
         got = outcome(read_predictions, preds_path), outcome(read_labels, labels_path)
         zero = read_predictions(str(zero_path))[1]
     assert got == (outcome(oracle_read_predictions, preds_path),
@@ -566,10 +572,40 @@ def test_a_late_non_fixed_cell_sends_the_file_to_the_general_parser(tmp_path):
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write("id,c0,c1,c2\n" + "\n".join(rows) + "\n")
     with mock.patch.object(fileio, "CHUNK_ELEMENTS", 16), \
-            mock.patch.object(fileio, "_read_rows", wraps=fileio._read_rows) as general:
+            mock.patch.object(fileio, "_read_lines", wraps=fileio._read_lines) as general:
         got = outcome(read_predictions, path)
     assert general.call_count == 1
     assert got == outcome(oracle_read_predictions, path)
+
+
+def test_the_line_reader_reads_respelled_files_as_the_kernel_reads_them(tmp_path):
+    rng = np.random.default_rng(44)
+    matrix = rng.dirichlet(np.ones(10), size=20000)
+    matrix[:50] = rng.uniform(-999999.0, 999999.0, size=(50, 10))  # signs, 6-digit parts
+    ids = [f"s{i:05d}" for i in range(20000)]
+    preds, labels = str(tmp_path / "p.csv"), str(tmp_path / "l.csv")
+    write_predictions(preds, ids, matrix)
+    write_labels(labels, ids, rng.integers(0, 10, size=20000))
+
+    def respell(path, cell):
+        with open(path, encoding="utf-8") as handle:
+            header, *lines = handle.read().splitlines()
+        rows = (line.split(",") for line in lines)
+        text = "".join(",".join([row[0], *map(cell, row[1:])]) + "\n" for row in rows)
+        with open(path + ".general", "w", encoding="utf-8", newline="") as handle:
+            handle.write(header + "\n" + text)
+        return path + ".general"
+
+    # 0.500000000 becomes 0.5 and 1.000000000 becomes 1.; integer labels have
+    # no decimal zeros, so they gain a plus sign
+    general_preds = respell(preds, lambda cell: cell.rstrip("0"))
+    general_labels = respell(labels, lambda cell: "+" + cell)
+    with mock.patch.object(fileio, "_read_lines", wraps=fileio._read_lines) as general:
+        kernel = outcome(read_predictions, preds), outcome(read_labels, labels)
+        assert general.call_count == 0
+        got = outcome(read_predictions, general_preds), outcome(read_labels, general_labels)
+    assert general.call_count == 2
+    assert got == kernel
 
 
 def test_undecodable_bytes_raise_as_text_reading_does(tmp_path):
