@@ -20,7 +20,8 @@ exact sum strictly inside the value's rounding interval.  Elements it
 cannot prove (near rounding ties with nonzero remainders, extreme
 cancellation, exact zeros, whose sign is ``math.fsum``'s to decide, and
 non-finite intermediates) are summed by ``math.fsum`` itself.  The kernel
-works in blocks of at most :data:`CHUNK_ELEMENTS` values.
+works in blocks of at most :data:`CHUNK_ELEMENTS` values, every block of a
+call in the same buffer, with the TwoSum steps done in place.
 
 The sweep makes its weight grid chunk by chunk, in the grid's order, so its
 memory is that of one chunk however many points the grid has.  The top-1,
@@ -52,16 +53,13 @@ from .metrics import (
     mean_class_accuracy,
     topk_accuracy,
 )
-from .numerics import check_labels, check_prediction_matrix, softmax_rows
+from .numerics import CHUNK_ELEMENTS, check_labels, check_prediction_matrix, softmax_rows
 
 SCORE_TYPES = ("prob", "logit")
 WEIGHT_SUM_TOL = 1e-9
 PROB_ROW_TOL = 1e-6
 MAX_GRID_POINTS = 1_000_000
 MAX_SWEEP_MEMBERS = 5
-# Elements of one block of member values summed at once by the fusion kernel,
-# and of one chunk of weighted members in the sweep; bounds their temporaries.
-CHUNK_ELEMENTS = 1 << 14
 
 OBJECTIVES = ("top1", "top5", "mca", "map", "mauc")
 
@@ -135,20 +133,27 @@ def _identical(mats: list[np.ndarray]) -> bool:
     return all(np.array_equal(m, mats[0]) for m in mats[1:])
 
 
-def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Knuth's TwoSum: s = fl(a + b) and s + e == a + b exactly, barring overflow.
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
+def _two_sum(a: np.ndarray, b: np.ndarray, s: np.ndarray, t: np.ndarray) -> None:
+    """Knuth's TwoSum in place: ``a`` becomes fl(a + b) and ``b`` its error,
+    so that the new a + b equals the old one exactly, barring overflow.
+    ``s`` and ``t`` are scratch rows of the same length."""
+    np.add(a, b, out=s)
+    np.subtract(s, a, out=t)  # bb = s - a
+    np.subtract(b, t, out=b)  # b - bb
+    np.subtract(s, t, out=t)  # s - bb
+    np.subtract(a, t, out=a)  # a - (s - bb)
+    np.add(a, b, out=b)
+    np.copyto(a, s)
 
 
-def _certified_sum(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _certified_sum(q: np.ndarray, scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Column sums of an (M, L) block, overwritten in the process, and the
-    mask of the columns whose sum is proven correctly rounded."""
+    mask of the columns whose sum is proven correctly rounded; ``scratch``
+    holds two rows of length L."""
     m = q.shape[0]
     for _ in range(_VECSUM_PASSES):
         for i in range(1, m):
-            q[i], q[i - 1] = _two_sum(q[i], q[i - 1])
+            _two_sum(q[i], q[i - 1], scratch[0], scratch[1])
     # The passes keep the exact column sum S and leave r = fl(q[-1] + q[-2])
     # from the last TwoSum, so S = r + d + sum(rest) exactly.  With every rest
     # value zero, r is the rounding of S by IEEE addition itself (ties to even
@@ -174,13 +179,17 @@ def _exact_sum(products: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
     ``math.fsum``, including its errors."""
     members = [np.asarray(p, dtype=float).reshape(-1) for p in products]
     out = np.empty(members[0].size)
-    step = max(1, CHUNK_ELEMENTS // len(members))
+    m = len(members)
+    step = max(1, CHUNK_ELEMENTS // m)
+    # One block for every chunk: the members' values, then two scratch rows.
+    block = np.empty((m + 2, min(step, out.size)))
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite goes to fsum
         for start in range(0, out.size, step):
             stop = min(start + step, out.size)
-            out[start:stop], certified = _certified_sum(
-                np.stack([p[start:stop] for p in members])
-            )
+            q = block[:, :stop - start]
+            for row, p in zip(q, members):
+                row[:] = p[start:stop]
+            out[start:stop], certified = _certified_sum(q[:m], q[m:])
             for j in start + np.flatnonzero(~certified):
                 out[j] = math.fsum(p[j] for p in members)
     return out.reshape(np.shape(products[0]))

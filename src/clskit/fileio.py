@@ -34,9 +34,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import CHUNK_ELEMENTS, SCORE_TYPES, EnsembleManifest, EnsembleMember, _exact_sum
+from .ensemble import SCORE_TYPES, EnsembleManifest, EnsembleMember, _exact_sum
 from .losses import LossConfig
-from .numerics import check_prediction_matrix
+from .numerics import CHUNK_ELEMENTS, check_prediction_matrix
 from .schedule import (
     DEFAULT_BASE_LR,
     DEFAULT_MULTIPLIERS,

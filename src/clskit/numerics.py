@@ -15,6 +15,10 @@ import numpy as np
 PROB_SUM_TOL = 1e-9
 
 _MAX_SEED = 2**64
+# Elements of one block of values that a batched kernel works on at once
+# (fusion sums, sweep chunks, metric rankings, prediction rows, CSV cells);
+# bounds their temporaries.
+CHUNK_ELEMENTS = 1 << 14
 
 
 def make_rng(*key: int) -> np.random.Generator:

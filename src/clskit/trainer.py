@@ -19,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import CHUNK_ELEMENTS
 from .losses import LossConfig, loss_rows
 from .metrics import topk_accuracy
-from .numerics import make_rng, softmax, softmax_rows
+from .numerics import CHUNK_ELEMENTS, make_rng, softmax, softmax_rows
 from .schedule import FreezePolicy, StepDecaySchedule, lr_at
 
 # Stream-key tags keeping dataset geometry, model init, and shuffles on
@@ -237,6 +236,10 @@ def train(
             model.head_bias = model.head_bias - lr * (g_logits.sum(axis=0) / size)
             if grad_backbone is not None:
                 model.backbone = model.backbone - lr * (grad_backbone / size)
-        val_top1 = topk_accuracy(predict(model, val_set), val_set.labels, 1)
+        try:
+            val_probs = predict(model, val_set)
+        except ValueError as exc:  # the epoch's last update diverged
+            raise ValueError(f"epoch {epoch} validation: {exc}") from None
+        val_top1 = topk_accuracy(val_probs, val_set.labels, 1)
         records.append(EpochRecord(epoch, lr, loss_total / n, val_top1))
     return model, TrainLog(tuple(records))

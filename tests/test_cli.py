@@ -145,6 +145,20 @@ def test_train_config_of_the_wrong_json_type_exits_2(tmp_path, capsys, overrides
     assert not out_train.exists() and not out_val.exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergence_at_validation_names_the_epoch(tmp_path, capsys):
+    # the one batch of epoch 0 makes the parameters non-finite, so the
+    # end-of-epoch validation pass is the first to see it
+    config = write_config(tmp_path, epochs=3, base_lr=1e308,
+                          dataset={"n_train": 20, "n_val": 20, "dims": 3, "classes": 3})
+    out_train, out_val = tmp_path / "t.csv", tmp_path / "v.csv"
+    code = main(["train", "--config", config, "--out-train", str(out_train),
+                 "--out-val", str(out_val)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: epoch 0 validation: logits must be finite\n"
+    assert not out_train.exists() and not out_val.exists()
+
+
 # -- eval ----------------------------------------------------------------
 
 def test_eval_json_matches_oracle_fixture(tmp_path, capsys):

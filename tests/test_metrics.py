@@ -3,14 +3,17 @@ definitions.  On small instances the package values must match the oracles
 exactly, including every tie case."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from clskit import metrics
 from clskit.metrics import (
     MetricReport,
+    _class_order,
     _topk_hits,
     full_report,
     mean_auc,
@@ -168,6 +171,62 @@ def test_map_and_mauc_match_oracles_under_heavy_ties(instance):
             mean_auc(scores, labels)
     else:
         assert mean_auc(scores, labels) == oracle_mauc(scores, labels)
+
+
+@given(tied_instances(), st.sampled_from([metrics.CHUNK_ELEMENTS, 1, 7, 60]))
+def test_full_report_matches_oracles_under_heavy_ties(instance, chunk):
+    # small chunks rank the classes in blocks of one, a few, or all of them
+    scores, labels = instance
+    with mock.patch.object(metrics, "CHUNK_ELEMENTS", chunk):
+        if len(set(labels.tolist())) == 1:
+            with pytest.raises(ValueError):
+                full_report(scores, labels)
+            return
+        report = full_report(scores, labels)
+    assert report.as_dict() == {
+        "top1": oracle_topk(scores, labels, 1),
+        "top5": oracle_topk(scores, labels, min(5, scores.shape[1])),
+        "mca": oracle_mca(scores, labels),
+        "map": oracle_map(scores, labels),
+        "mauc": oracle_mauc(scores, labels),
+    }
+
+
+@st.composite
+def tie_heavy_blocks(draw):
+    # 1-3 rows of values rounded to a few decimals, with many exact and
+    # signed zeros and subnormals, so long runs of equal scores are the rule
+    rows = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 300))
+    decimals = draw(st.integers(0, 9))
+    rounded = st.floats(-2.0, 2.0).map(lambda v: round(v, decimals))
+    special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308])
+    values = st.lists(st.one_of(rounded, special), min_size=rows * n, max_size=rows * n)
+    return np.array(draw(values)).reshape(rows, n)
+
+
+@given(tie_heavy_blocks())
+def test_class_order_is_the_stable_descending_sort(block):
+    order, bounds = _class_order(block)
+    stable = np.argsort(-block, axis=-1, kind="stable")
+    assert np.array_equal(order, stable)
+    ranked = np.take_along_axis(block, stable, axis=-1)
+    starts = np.ones(block.shape, dtype=bool)
+    starts[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    assert np.array_equal(bounds, np.append(np.flatnonzero(starts), block.size))
+
+
+def test_map_heap_stays_linear_at_scale():
+    rng = np.random.default_rng(16)
+    scores = np.round(rng.uniform(size=(20_000, 10)), 3)  # ties included
+    labels = rng.integers(0, 10, size=20_000)
+    tracemalloc.start()
+    try:
+        mean_average_precision(scores, labels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_mauc_heap_stays_linear_at_scale():
