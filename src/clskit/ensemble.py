@@ -173,13 +173,17 @@ def _certified_sum(q: np.ndarray, scratch: np.ndarray) -> tuple[np.ndarray, np.n
     return r, certified
 
 
-def _exact_sum(products: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
+def _exact_sum(
+    products: Sequence[np.ndarray] | np.ndarray, weights: np.ndarray | None = None
+) -> np.ndarray:
     """Correctly rounded sum over the M members of ``products`` (an ``(M, ...)``
-    stack, or M arrays of one shape): element for element the bits of
-    ``math.fsum``, including its errors."""
+    stack, or M arrays of one shape), each first multiplied by its entry of
+    ``weights`` when given: element for element the bits of ``math.fsum`` of
+    the rounded products, including its errors."""
     members = [np.asarray(p, dtype=float).reshape(-1) for p in products]
     out = np.empty(members[0].size)
     m = len(members)
+    factors = np.ones(m) if weights is None else weights
     step = max(1, CHUNK_ELEMENTS // m)
     # One block for every chunk: the members' values, then two scratch rows.
     block = np.empty((m + 2, min(step, out.size)))
@@ -187,11 +191,11 @@ def _exact_sum(products: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
         for start in range(0, out.size, step):
             stop = min(start + step, out.size)
             q = block[:, :stop - start]
-            for row, p in zip(q, members):
-                row[:] = p[start:stop]
+            for row, p, factor in zip(q, members, factors):
+                np.multiply(p[start:stop], factor, out=row)
             out[start:stop], certified = _certified_sum(q[:m], q[m:])
             for j in start + np.flatnonzero(~certified):
-                out[j] = math.fsum(p[j] for p in members)
+                out[j] = math.fsum(factor * p[j] for p, factor in zip(members, factors))
     return out.reshape(np.shape(products[0]))
 
 
@@ -207,7 +211,7 @@ def fuse(
     if _identical(mats):
         # Convexity fixed point, honored exactly rather than up to rounding.
         return mats[0].copy()
-    return _exact_sum([wk * m for wk, m in zip(w, mats)])
+    return _exact_sum(mats, w)
 
 
 def _topk_of(objective: str, num_classes: int) -> int | None:

@@ -14,10 +14,15 @@ for labels), one numpy kernel parses it from the bytes in blocks of about
 same bits as ``float``.  Any other file, such as a value in another float
 syntax, goes to the general path: it is read line by line, each cell parsed
 with ``float`` (or ``int``), and its first bad line raises the error.
-Predictions are written in blocks of about ``CHUNK_ELEMENTS`` values.
-Every file is written to a temporary file beside its target, which replaces
-the target only once it is complete, so a failed write leaves no partial
-file behind.
+Predictions are written in blocks of about ``CHUNK_ELEMENTS`` values, and
+each block is the mirror image of the reader's kernel: the printed units of
+every value come from one batched int64 rounding, and their digits are
+written straight into one ``uint8`` buffer, three decimals at a time from a
+table of 3-digit groups, with the ids UTF-8 encoded by one join; one mask
+drops the unused slots of shorter cells and ids.  Values too large for int64
+units are printed row by row in exact integers.  Every file is written to a
+temporary file beside its target, which replaces the target only once it is
+complete, so a failed write leaves no partial file behind.
 """
 
 from __future__ import annotations
@@ -52,9 +57,9 @@ _LABEL = re.compile(r"[+-]?\d+")
 
 @contextlib.contextmanager
 def _atomic_write(path: str):
-    """A text handle whose file appears at ``path`` only once it is complete.
+    """A binary handle whose file appears at ``path`` only once it is complete.
 
-    The text goes to a new file next to ``path``, which replaces ``path`` when
+    The bytes go to a new file next to ``path``, which replaces ``path`` when
     the block ends; if the block raises, the new file is removed and ``path``
     is left as it was.
     """
@@ -62,7 +67,7 @@ def _atomic_write(path: str):
     temp = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(fd, "w", encoding="utf-8", newline="") as handle:
+        with open(fd, "wb") as handle:
             yield handle
         os.replace(temp, path)
     except BaseException:
@@ -142,12 +147,85 @@ def _units(scaled: np.ndarray) -> np.ndarray:
     return base + (position < count[:, None])
 
 
-_SIGNS = np.array(["", "-"], dtype=object)
+# "000" .. "999" as little-endian 4-byte words whose fourth byte is spare:
+# one word store writes a 3-digit group, and the next store overwrites the
+# spare byte.
+_GROUPS = np.frombuffer(b"".join(b"%03d\0" % k for k in range(1000)), "<u4")
 
 
-def _format_block(ids: list[str], block: np.ndarray) -> str:
-    """The data lines of a prediction file for ``ids`` and the rows of ``block``."""
-    rows, num_classes = block.shape
+def _emit(ids: list[str], units: np.ndarray) -> np.ndarray:
+    """The bytes of the data lines for ``ids`` and an ``(r, C)`` block of
+    printed units, spelled as :func:`_format_row` spells them.
+
+    Every byte goes into one ``uint8`` buffer with a fixed slot for each byte
+    any row of the block may need: the id and its comma, left-aligned in a
+    region as wide as the longest, then per cell a sign slot (when the block
+    has a negative value), the integer digits right-aligned in as many slots
+    as the block's widest value needs, the point, 9 decimals, and ``,`` or
+    ``\\n``.  The slots a row does not use are then dropped by one
+    boolean mask.  A block whose id padding would outweigh its cells is
+    emitted in halves.
+    """
+    rows, num_classes = units.shape
+    # Ids are comma-free, so one join gives each id's bytes and its comma,
+    # and the commas give their byte lengths.
+    heads = np.frombuffer((",".join(ids) + ",").encode("utf-8"), np.uint8)
+    ends = np.flatnonzero(heads == ord(",")) + 1
+    head_len = np.diff(ends, prepend=0)
+    lead = int(head_len.max())
+    negative = units < 0
+    signed = int(negative.any())
+    magnitude = np.abs(units)
+    whole = magnitude // _UNIT
+    fraction = (magnitude - whole * _UNIT).astype(np.uint32)
+    point = signed + len(str(whole.max()))  # the point's slot in a cell
+    cell = point + 11
+    if rows > 1 and rows * lead - heads.size > rows * num_classes * cell:
+        # The id padding would outweigh the cells: emit the halves, so that
+        # one long id pads only its own row.
+        half = rows // 2
+        return np.concatenate([_emit(ids[:half], units[:half]), _emit(ids[half:], units[half:])])
+    width = lead + num_classes * cell
+    buf = np.empty((rows, width), np.uint8)
+
+    def slots(offset: int, dtype=np.uint8) -> np.ndarray:
+        """Slot ``offset`` of every cell, as an ``(r, C)`` view of ``buf``."""
+        return np.ndarray(
+            (rows, num_classes), dtype, buf, offset=lead + offset, strides=(width, cell)
+        )
+
+    thousands = fraction // 1000
+    millions = thousands // 1000
+    for k, group in enumerate((millions, thousands - 1000 * millions, fraction - 1000 * thousands)):
+        # the last store's spare byte lands in the delimiter slot, written below
+        slots(point + 1 + 3 * k, "<u4")[...] = np.take(_GROUPS, group)
+    rest = whole
+    for k in range(point - 1, signed, -1):
+        quotient = rest // 10
+        np.add(rest - 10 * quotient, ord("0"), out=slots(k), casting="unsafe")
+        rest = quotient
+    np.add(rest, ord("0"), out=slots(signed), casting="unsafe")
+    slots(point)[...] = ord(".")
+    slots(cell - 1)[...] = ord(",")
+    buf[:, -1] = ord("\n")
+    if signed:
+        slots(0)[...] = ord("-")
+    starts = np.arange(0, rows * width, width) - (ends - head_len)
+    buf.reshape(-1)[np.repeat(starts, head_len) + np.arange(heads.size)] = heads
+    keep = np.ones((rows, width), bool)
+    keep[:, :lead] = np.arange(lead) < head_len[:, None]
+    cells = keep[:, lead:].reshape(rows, num_classes, cell)
+    if signed:
+        cells[:, :, 0] = negative
+    for k in range(signed, point - 1):  # leading digit slots: kept where the value reaches them
+        cells[:, :, k] = whole >= 10 ** (point - 1 - k)
+    return buf.reshape(-1) if keep.all() else buf[keep]
+
+
+def _format_block(ids: list[str], block: np.ndarray) -> bytes | np.ndarray:
+    """The bytes of the data lines of a prediction file for ``ids`` and the
+    rows of ``block``."""
+    num_classes = block.shape[1]
     with np.errstate(over="ignore"):
         scaled = block * _UNIT
     finite = np.isfinite(scaled)
@@ -164,16 +242,8 @@ def _format_block(ids: list[str], block: np.ndarray) -> str:
                 raise ValueError(
                     f"row {sample_id!r} sums past the float range when printed with 9 decimals"
                 ) from None
-        return "".join(lines)
-    units = _units(scaled)
-    magnitude = np.abs(units)
-    cells = np.empty((rows, 1 + 3 * num_classes), dtype=object)
-    cells[:, 0] = ids
-    cells[:, 1::3] = _SIGNS[(units < 0).view(np.int8)]
-    cells[:, 2::3] = magnitude // _UNIT
-    cells[:, 3::3] = magnitude % _UNIT
-    line = "%s" + ",%s%d.%09d" * num_classes + "\n"
-    return (line * rows) % tuple(cells.ravel().tolist())
+        return "".join(lines).encode("utf-8")
+    return _emit(ids, _units(scaled))
 
 
 def write_predictions(path: str, ids: list[str], matrix: np.ndarray) -> None:
@@ -185,7 +255,7 @@ def write_predictions(path: str, ids: list[str], matrix: np.ndarray) -> None:
     num_classes = m.shape[1]
     step = max(1, CHUNK_ELEMENTS // num_classes)
     with _atomic_write(path) as handle:
-        handle.write("id," + ",".join(f"c{j}" for j in range(num_classes)) + "\n")
+        handle.write(("id," + ",".join(f"c{j}" for j in range(num_classes)) + "\n").encode("utf-8"))
         for start in range(0, len(ids), step):
             handle.write(_format_block(ids[start:start + step], m[start:start + step]))
 
@@ -360,10 +430,9 @@ def write_labels(path: str, ids: list[str], labels: np.ndarray) -> None:
     _check_ids(list(ids))
     if y.size and y.min() < 0:
         raise ValueError("labels must be non-negative")
+    lines = "".join(f"{sample_id},{int(label)}\n" for sample_id, label in zip(ids, y.tolist()))
     with _atomic_write(path) as handle:
-        handle.write("id,label\n")
-        for sample_id, label in zip(ids, y):
-            handle.write(f"{sample_id},{int(label)}\n")
+        handle.write(("id,label\n" + lines).encode("utf-8"))
 
 
 def read_labels(path: str) -> tuple[list[str], list[int]]:
@@ -535,5 +604,4 @@ def write_manifest(path: str, member_paths: list[str], weights: list[float], sco
         members.append({"path": stored, "weight": float(weight)})
     document = {"members": members, "score_type": score_type}
     with _atomic_write(path) as handle:
-        json.dump(document, handle, indent=2)
-        handle.write("\n")
+        handle.write((json.dumps(document, indent=2) + "\n").encode("utf-8"))

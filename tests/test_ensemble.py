@@ -93,6 +93,21 @@ def test_exact_sum_matches_fsum_bitwise(columns):
     assert np.array_equal(bits(_exact_sum(stack)), bits(want))
 
 
+@given(stacks(), st.data())
+def test_weighted_exact_sum_matches_fsum_of_the_products(columns, data):
+    m = len(columns[0])
+    weights = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m)))
+    stack = np.array(columns).T
+    products = weights[:, None] * stack
+    try:
+        want = [math.fsum(column) for column in products.T]
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            _exact_sum(stack, weights)
+        return
+    assert np.array_equal(bits(_exact_sum(stack, weights)), bits(want))
+
+
 def test_exact_sum_falls_back_to_fsum_only_where_unproven(monkeypatch):
     calls = []
     real_fsum = math.fsum
@@ -169,6 +184,20 @@ def test_fuse_rows_stay_stochastic():
     out = fuse(members, [0.1, 0.4, 0.25, 0.25])
     assert np.all(out >= 0.0)
     assert np.max(np.abs(out.sum(axis=1) - 1.0)) <= 1e-9
+
+
+def test_fuse_heap_stays_linear_at_scale():
+    # the 1.5 MiB output and one chunk of weighted values, not M weighted copies
+    rng = np.random.default_rng(16)
+    members = [rng.dirichlet(np.ones(10), size=20_000) for _ in range(5)]
+    weights = [0.3, 0.1, 0.2, 0.25, 0.15]
+    tracemalloc.start()
+    try:
+        fuse(members, weights)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
 
 
 def test_fuse_logit_inputs_softmax_first():

@@ -5,6 +5,7 @@ import math
 import os
 import re
 import stat
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -53,6 +54,12 @@ def test_predictions_file_layout(tmp_path):
     write_predictions(str(path), ["a", "b"], np.array([[0.25, 0.75], [1.0, 0.0]]))
     text = path.read_bytes().decode("utf-8")
     assert text == "id,c0,c1\na,0.250000000,0.750000000\nb,1.000000000,0.000000000\n"
+    # ids of other lengths, in bytes too, and cells of other widths in one block
+    matrix = np.array([[0.25, 0.75], [-1.5, 12.25], [1.0, 0.0]])
+    write_predictions(str(path), ["a", "bb", "é日🎧"], matrix)
+    text = path.read_bytes().decode("utf-8")
+    assert text == ("id,c0,c1\na,0.250000000,0.750000000\nbb,-1.500000000,12.250000000\n"
+                    "é日🎧,1.000000000,0.000000000\n")
 
 
 def test_write_predictions_deterministic(tmp_path):
@@ -645,15 +652,18 @@ cell_values = st.one_of(
 
 
 @st.composite
-def prediction_matrices(draw):
+def prediction_matrices(draw, kinds=("probabilities", "cells", "cancelling")):
     rows = draw(st.integers(1, 9))
     num_classes = draw(st.integers(2, 6) | st.integers(17, 24))
     size = rows * num_classes
-    kind = draw(st.sampled_from(["probabilities", "cells", "cancelling"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "probabilities":  # the common case
         raw = draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size))
         matrix = np.array(raw).reshape(rows, num_classes) + 1e-3
         return matrix / matrix.sum(axis=1, keepdims=True)
+    if kind == "bounded":
+        raw = draw(st.lists(st.floats(-1e5, 1e5), min_size=size, max_size=size))
+        return np.array(raw).reshape(rows, num_classes)
     matrix = np.array(draw(st.lists(cell_values, min_size=size, max_size=size)))
     matrix = matrix.reshape(rows, num_classes)
     if kind == "cancelling":  # a big value and its negation in every row
@@ -662,9 +672,18 @@ def prediction_matrices(draw):
     return matrix
 
 
-@given(matrix=prediction_matrices(), chunk=chunk_sizes)
-def test_write_predictions_matches_per_row_formatter(scratch_csv, matrix, chunk):
-    ids = [f"r{i}" for i in range(matrix.shape[0])]
+# Ids of 1-12 characters, some of several UTF-8 bytes, so that an id's byte
+# length differs from its length in characters.
+sample_ids = st.text(alphabet="az7_é日本🎧", min_size=1, max_size=12)
+
+
+@given(matrix=prediction_matrices(), chunk=chunk_sizes, data=st.data())
+def test_write_predictions_matches_per_row_formatter(scratch_csv, matrix, chunk, data):
+    rows = matrix.shape[0]
+    ids = data.draw(st.one_of(
+        st.just([f"r{i}" for i in range(rows)]),
+        st.lists(sample_ids, min_size=rows, max_size=rows, unique=True),
+    ))
     try:
         with np.errstate(over="ignore"):
             expected = "id," + ",".join(f"c{j}" for j in range(matrix.shape[1])) + "\n" + "".join(
@@ -682,6 +701,18 @@ def test_write_predictions_matches_per_row_formatter(scratch_csv, matrix, chunk)
             write_predictions(scratch_csv, ids, matrix)
             with open(scratch_csv, "rb") as handle:
                 assert handle.read() == expected.encode("utf-8")
+
+
+@given(matrix=prediction_matrices(kinds=("probabilities", "bounded")), chunk=chunk_sizes)
+def test_rewriting_a_read_file_reproduces_it(scratch_csv, matrix, chunk):
+    # Row-stochastic matrices and values with |v| <= 1e5; past that a cell
+    # can be re-written a unit lower (README, "File formats").
+    again = scratch_csv + ".again"
+    with mock.patch.object(fileio, "CHUNK_ELEMENTS", chunk):
+        write_predictions(scratch_csv, [f"r{i}" for i in range(matrix.shape[0])], matrix)
+        write_predictions(again, *read_predictions(scratch_csv))
+    with open(scratch_csv, "rb") as first, open(again, "rb") as second:
+        assert first.read() == second.read()
 
 
 def test_write_predictions_matches_formatter_when_row_totals_round(tmp_path):
@@ -707,6 +738,24 @@ def test_write_predictions_matches_formatter_when_row_totals_round(tmp_path):
     assert line == "a," + ",".join(oracle_format_row(row))
 
 
+def test_one_long_id_pads_only_its_own_row(tmp_path):
+    rng = np.random.default_rng(44)
+    matrix = rng.dirichlet(np.ones(4), size=2000)
+    ids = [f"r{i}" for i in range(2000)]
+    ids[1234] = "é" * 5000  # 10 000 bytes: padding every row to it would take 20 MB
+    path = tmp_path / "p.csv"
+    tracemalloc.start()
+    try:
+        write_predictions(str(path), ids, matrix)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    expected = "id,c0,c1,c2,c3\n" + "".join(
+        i + "," + ",".join(oracle_format_row(row)) + "\n" for i, row in zip(ids, matrix))
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
 def test_write_predictions_rejects_values_too_large_to_print(tmp_path):
     path = tmp_path / "o.csv"
     with pytest.raises(ValueError, match="value 1e\\+300 is too large"):
@@ -722,7 +771,7 @@ def test_failed_writes_leave_nothing_and_keep_the_old_file(tmp_path):
     target = tmp_path / "out.csv"
     with pytest.raises(RuntimeError):
         with fileio._atomic_write(str(target)) as handle:
-            handle.write("partial")
+            handle.write(b"partial")
             raise RuntimeError("interrupted")
     assert list(tmp_path.iterdir()) == []
     target.write_text("old", encoding="utf-8")
