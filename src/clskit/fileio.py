@@ -11,9 +11,16 @@ A file is read once as bytes.  When every value has the fixed-point form
 the writers print (``-?\\d{1,6}\\.\\d{9}`` for predictions, up to 18 digits
 for labels), one numpy kernel parses it from the bytes in blocks of about
 ``CHUNK_ELEMENTS`` values with exact integer digit arithmetic, giving the
-same bits as ``float``.  Any other file, such as a value in another float
-syntax, goes to the general path: it is read line by line, each cell parsed
-with ``float`` (or ``int``), and its first bad line raises the error.
+same bits as ``float``.  The kernel finds a block's cells in one of two
+ways.  A block whose lines share one byte layout (one length, the same
+comma columns and one cell width, as in the files clskit writes with
+zero-padded ids) is a 2-D view of the bytes, and its cells are strided
+views of that; any other block is scanned for its delimiters and its cells
+gathered.  Either way each cell sits in a window as wide as the block's
+widest cell plus a sign slot, and one tail checks and parses the windows.
+Any other file, such as a value in another float syntax, goes to the
+general path: it is read line by line, each cell parsed with ``float`` (or
+``int``), and its first bad line raises the error.
 Predictions are written in blocks of about ``CHUNK_ELEMENTS`` values, and
 each block is the mirror image of the reader's kernel: the printed units of
 every value come from one batched int64 rounding, and their digits are
@@ -61,15 +68,22 @@ def _atomic_write(path: str):
 
     The bytes go to a new file next to ``path``, which replaces ``path`` when
     the block ends; if the block raises, the new file is removed and ``path``
-    is left as it was.
+    is left as it was.  An error opening or renaming the new file names
+    ``path``, as ``open(path, "wb")`` would, not the new file's random name.
     """
     directory, name = os.path.split(os.path.abspath(path))
     temp = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
-    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as err:
+        raise OSError(err.errno, err.strerror, path) from None
     try:
         with open(fd, "wb") as handle:
             yield handle
-        os.replace(temp, path)
+        try:
+            os.replace(temp, path)
+        except OSError as err:
+            raise OSError(err.errno, err.strerror, path) from None
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(temp)
@@ -274,9 +288,9 @@ def _read_head(path: str) -> tuple[bytes, str]:
 
 @functools.cache
 def _cell_layout(digits: int, decimals: int):
-    """The byte slots of the widest cell ``-?\\d{digits}(\\.\\d{decimals})?``:
-    its width, the point's slot, each slot's int64 place value, and the
-    masks that keep a cell's digit slots."""
+    """The byte slots of a window that holds a sign slot and the cell
+    ``\\d{digits}(\\.\\d{decimals})?``: the point's slot, each slot's int64
+    place value, and the masks that keep a cell's digit slots."""
     fraction = decimals + 1 if decimals else 0
     width = 1 + digits + fraction  # sign slot, integer digits, point and decimals
     point = width - fraction  # integer digits sit in slots 1 .. point - 1
@@ -285,12 +299,77 @@ def _cell_layout(digits: int, decimals: int):
     # a digit's place value is 10 ** (the digit slots to its right)
     place = np.where(digit_slot, 10 ** (np.cumsum(digit_slot[::-1])[::-1] - 1), 0)
     # Row f keeps the digit slots of a cell whose first digit is in slot f.
-    # It and every window of :func:`_fixed_point_rows` are single
+    # It and every window of :func:`_scanned_cells` are single
     # ``width``-byte items, so a gather copies whole windows.
     keep = np.where(digit_slot & (slots >= slots[:, None]), 0xFF, 0).astype(np.uint8)
     keep = keep.view(f"V{width}").ravel()
     place.flags.writeable = keep.flags.writeable = False  # shared by every call
-    return width, point, place, keep
+    return point, place, keep
+
+
+def _one_layout_cells(data: bytes, start: int, stop: int, values_per_row: int):
+    """Ids, cell windows, first-digit slots and signs of the lines
+    ``data[start:stop]`` when every line has the first line's byte length,
+    comma columns and one cell width, else None.
+
+    The lines are then a ``(rows, length)`` view of the bytes, and the
+    windows, each cell with the comma before it, a strided view of that:
+    only the newline column, the comma columns and the ids are checked here.
+    """
+    end = data.find(b"\n", start, stop)
+    id_len = data.find(b",", start, end) - start
+    length = end + 1 - start
+    width, rest = divmod(length - 1 - id_len, values_per_row)  # a comma and a cell
+    if end < 0 or id_len < 1 or rest or width < 2 or (stop - start) % length:
+        return None
+    lines = np.frombuffer(data, np.uint8, stop - start, start).reshape(-1, length)
+    windows = lines[:, id_len:-1].reshape(len(lines), values_per_row, width)
+    if not ((lines[:, -1] == ord("\n")).all() and (windows[:, :, 0] == ord(",")).all()):
+        return None
+    heads = lines[:, :id_len + 1].tobytes()  # each id and its comma
+    if heads.count(b",") != len(lines) or b"\n" in heads:
+        return None
+    negative = windows[:, :, 1] == ord("-")
+    # An unsigned cell has its first digit in slot 1, so without signs the
+    # first line's slots serve every line and its keep masks are broadcast.
+    first = 1 + (negative if negative.any() else negative[0])
+    return heads.decode("utf-8").split(",")[:-1], windows, first, negative
+
+
+def _scanned_cells(data: bytes, start: int, stop: int, values_per_row: int, limit: int):
+    """What :func:`_one_layout_cells` gives, for lines of any layout: a scan
+    for every ``,`` and ``\\n`` finds the cells, and each cell's window, as
+    wide as the block's widest cell (capped at ``limit`` bytes) plus a sign
+    slot, is gathered from the bytes up to its delimiter.  None when a line
+    has another comma count, the last line has no newline, or an id is
+    empty."""
+    # ``limit`` bytes of padding in front keep every window inside the block.
+    block = np.zeros(limit + stop - start, np.uint8)
+    block[limit:] = np.frombuffer(data, np.uint8, stop - start, start)
+    delims = np.flatnonzero((block == ord(",")) | (block == ord("\n")))
+    if delims.size % (values_per_row + 1):
+        return None
+    delims = delims.reshape(-1, values_per_row + 1)
+    kinds = block[delims]
+    if not ((kinds[:, :-1] == ord(",")).all() and (kinds[:, -1] == ord("\n")).all()):
+        return None
+    # Ids: the bytes from the newline before each line (one in the padding
+    # for the first) up to its first comma, split at those newlines.
+    block[limit - 1] = ord("\n")
+    id_starts = np.concatenate(([limit - 1], delims[:-1, -1]))
+    lengths = delims[:, 0] - id_starts
+    if not (lengths > 1).all():  # an empty id
+        return None
+    spans = np.repeat(id_starts - (np.cumsum(lengths) - lengths), lengths)
+    block_ids = block[spans + np.arange(spans.size)].tobytes().decode("utf-8").split("\n")[1:]
+    ends = delims[:, 1:].ravel()
+    starts = delims[:, :-1].ravel() + 1
+    # a cell past the cap shows as one whose first digit is out of range
+    width = min(int((ends - starts).max()), limit) + 1
+    windows = np.ndarray((block.size - width + 1,), f"V{width}", block, strides=(1,))
+    negative = block[starts] == ord("-")
+    first = width - (ends - starts) + negative  # slot of each cell's first digit
+    return block_ids, windows[ends - width].view(np.uint8).reshape(-1, width), first, negative
 
 
 def _fixed_point_rows(data: bytes, start: int, values_per_row: int, digits: int, decimals: int):
@@ -298,60 +377,54 @@ def _fixed_point_rows(data: bytes, start: int, values_per_row: int, digits: int,
     and ``values_per_row`` cells of the form ``-?\\d{1,digits}`` followed, when
     ``decimals`` > 0, by a point and exactly ``decimals`` digits; magnitudes
     count units of ``10**-decimals``.  None when any line differs: another
-    comma count, other cell text, no final newline, or ids that fail
-    :func:`_fresh_ids`.
+    comma count, other cell text, no final newline, or an empty or repeated
+    id.
 
-    Blocks of about ``CHUNK_ELEMENTS`` cells are parsed from bytes: a cell's
-    widest form ends at its delimiter, so one fixed window of bytes per cell
-    is checked slot by slot and dotted with an int64 place-value vector,
-    exact for up to 18 digits.
+    Blocks of about ``CHUNK_ELEMENTS`` cells are parsed from bytes.  A cell
+    ends at its delimiter, so a window of bytes as wide as the block's widest
+    cell plus a sign slot, ending there, holds it.  A block whose lines share
+    one layout is a 2-D view whose windows are strided views
+    (:func:`_one_layout_cells`); any other block is scanned for its
+    delimiters and its windows gathered (:func:`_scanned_cells`).  Each
+    window is then checked slot by slot and dotted with an int64
+    place-value vector, exact for up to 18 digits.
     """
-    width, point, place, keep = _cell_layout(digits, decimals)
-    buf = np.frombuffer(data, np.uint8)
+    fraction = decimals + 1 if decimals else 0
+    limit = 1 + digits + fraction  # the widest cell: a sign, digits, point and decimals
     ids: list[str] = []
     magnitudes, signs = [], []
-    seen: set[str] = set()
     while start < len(data):
         # whole lines; a last line without its newline fails the delimiter test
-        span = start + CHUNK_ELEMENTS * width
+        span = start + CHUNK_ELEMENTS * limit
         stop = data.rfind(b"\n", start, span) + 1 or data.find(b"\n", span) + 1 or len(data)
-        # ``width`` bytes of padding in front keep every window inside the block.
-        block = np.zeros(width + stop - start, np.uint8)
-        block[width:] = buf[start:stop]
-        delims = np.flatnonzero((block == ord(",")) | (block == ord("\n")))
-        if delims.size % (values_per_row + 1):
+        found = (_one_layout_cells(data, start, stop, values_per_row)
+                 or _scanned_cells(data, start, stop, values_per_row, limit))
+        if found is None:
             return None
-        delims = delims.reshape(-1, values_per_row + 1)
-        kinds = block[delims]
-        if not ((kinds[:, :-1] == ord(",")).all() and (kinds[:, -1] == ord("\n")).all()):
+        block_ids, windows, first, negative = found
+        width = windows.shape[-1]
+        if not fraction < width - 1 <= limit:
             return None
-        # Ids: the bytes from the newline before each line (one in the padding
-        # for the first) up to its first comma, split at those newlines.
-        block[width - 1] = ord("\n")
-        id_starts = np.concatenate(([width - 1], delims[:-1, -1]))
-        lengths = delims[:, 0] - id_starts
-        spans = np.repeat(id_starts - (np.cumsum(lengths) - lengths), lengths)
-        block_ids = block[spans + np.arange(spans.size)].tobytes().decode("utf-8").split("\n")[1:]
-        if not _fresh_ids(block_ids, seen):
+        point, place, keep = _cell_layout(width - 1 - fraction, decimals)
+        # range first: ``keep`` has a row for each slot of the window only
+        if not np.all((first >= point - digits) & (first < point)):
             return None
-        ends = delims[:, 1:].ravel()
-        starts = delims[:, :-1].ravel() + 1
-        negative = block[starts] == ord("-")
-        first = width - (ends - starts) + negative  # slot of each cell's first digit
-        if not ((first >= 1) & (first < point)).all():
+        if decimals and not (windows[..., point] == ord(".")).all():
             return None
-        windows = np.ndarray((block.size - width + 1,), f"V{width}", block, strides=(1,))
-        cells = windows[ends - width].view(np.uint8).reshape(-1, width)
-        if decimals and not (cells[:, point] == ord(".")).all():
-            return None
-        cells -= ord("0")  # wraps, so a byte below '0' is no digit either
-        cells &= keep[first].view(np.uint8).reshape(-1, width)  # zero all but the digits
-        if not (cells < 10).all():
+        # wraps, so a byte below '0' is no digit either; a gathered copy is
+        # reused, a read-only view of the file's bytes is copied once
+        cells = np.subtract(windows, np.uint8(ord("0")),
+                            out=windows if windows.flags.writeable else None)
+        cells &= keep[first].view(np.uint8).reshape(*first.shape, width)  # zero all but digits
+        if cells.max() >= 10:
             return None
         ids.extend(block_ids)
-        magnitudes.append(np.einsum("ij,j->i", cells, place))  # casts in small buffers
-        signs.append(negative)
+        # casts in small buffers
+        magnitudes.append(np.einsum("ij,j->i", cells.reshape(-1, width), place))
+        signs.append(negative.ravel())
         start = stop
+    if len(set(ids)) < len(ids):
+        return None
     return ids, np.concatenate(magnitudes), np.concatenate(signs)
 
 

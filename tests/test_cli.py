@@ -1,8 +1,10 @@
 """Command-line behavior: exit codes, determinism, end-to-end consistency."""
 
 import contextlib
+import errno
 import io
 import json
+import os
 import shutil
 
 import numpy as np
@@ -313,6 +315,24 @@ def test_fuse_output_too_large_to_print_exits_2_and_writes_nothing(tmp_path, cap
     assert main(["fuse", "--manifest", str(manifest), "--out", str(out)]) == 2
     assert "too large to print" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv", "manifest.json"]
+
+
+@pytest.mark.parametrize("out, code", [("missing_dir/x.csv", errno.ENOENT),
+                                       ("a_dir", errno.EISDIR)])
+def test_a_failed_write_names_the_target_and_leaves_nothing(tmp_path, capsys, out, code):
+    # the file is written beside the target under a random name first; an
+    # error names the target, as writing it directly would
+    manifest = fused_setup(tmp_path)
+    (tmp_path / "a_dir").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    target = str(tmp_path / out)
+    errors = []
+    for _ in range(2):
+        assert main(["fuse", "--manifest", manifest, "--out", target]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == f"error: [Errno {code}] {os.strerror(code)}: {target!r}\n"
+    assert errors[1] == errors[0]
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_fuse_unit_weights_match_member_end_to_end(tmp_path, capsys):

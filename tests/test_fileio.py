@@ -389,7 +389,8 @@ def scratch_csv(tmp_path_factory):
     return str(tmp_path_factory.mktemp("blocks") / "file.csv")
 
 
-chunk_sizes = st.sampled_from([1, 2, 3, 5, 8, 64, fileio.CHUNK_ELEMENTS])
+CHUNKS = [1, 2, 3, 5, 8, 64, fileio.CHUNK_ELEMENTS]
+chunk_sizes = st.sampled_from(CHUNKS)
 # A small id pool makes duplicates common; the odd texts are ones float(),
 # int() or the label pattern treat specially.
 ids_text = st.sampled_from(["a", "b", "c", "s1", "s2", "", " a", "id", "\r", "é"])
@@ -498,34 +499,91 @@ near_miss_cells = st.one_of(
 fixed_ids = st.text(alphabet="ab\xe9名\r ", min_size=1, max_size=3)
 
 
-@st.composite
-def fixed_point_files(draw, values_per_row, header, cells, misses):
-    count = draw(st.integers(1, 14))
-    ids = draw(st.lists(fixed_ids, min_size=count, max_size=count, unique=True))
-    lines = [[sample_id, *draw(st.lists(cells, min_size=values_per_row,
-                                        max_size=values_per_row))] for sample_id in ids]
+def damaged(draw, header, lines, misses, kinds=()):
+    """The file of ``header`` and ``lines`` (each an id and its cells), as it
+    is or with one kind of damage."""
+    ids = [line[0] for line in lines]
     damage = draw(st.sampled_from(["none"] * 4 + ["cell"] * 3
-                                  + ["id", "blank", "columns", "end"]))
-    row = draw(st.integers(0, count - 1))
+                                  + ["id", "blank", "columns", "end", *kinds]))
+    row = draw(st.integers(0, len(lines) - 1))
     if damage == "cell":
-        lines[row][draw(st.integers(1, values_per_row))] = draw(misses)
+        lines[row][draw(st.integers(1, len(lines[row]) - 1))] = draw(misses)
     elif damage == "id":  # empty, or a repeat of another line's
         lines[row][0] = draw(st.sampled_from(["", *ids]))
     elif damage == "blank":
         lines.insert(row, [""])
     elif damage == "columns":  # one line a cell short, another a cell long
         moved = lines[row].pop()
-        lines[draw(st.integers(0, count - 1))].append(moved)
-    text = header + "".join(",".join(line) + "\n" for line in lines)
-    return text[:-1] if damage == "end" else text
+        lines[draw(st.integers(0, len(lines) - 1))].append(moved)
+    elif damage == "shift":  # a comma swapped with a neighbour: the line keeps its length
+        line = list(",".join(lines[row]))
+        comma = draw(st.sampled_from([k for k, char in enumerate(line) if char == ","]))
+        other = comma + draw(st.sampled_from([-1, 1]))
+        line[comma], line[other] = line[other], line[comma]
+        lines[row] = ["".join(line)]
+    elif damage == "delimiter in id":  # one id character replaced by "," or a newline
+        sample_id = lines[row][0]
+        at = draw(st.integers(0, len(sample_id) - 1))
+        lines[row][0] = sample_id[:at] + draw(st.sampled_from([",", "\n"])) + sample_id[at + 1:]
+    ends = ["\n"] * len(lines)
+    if damage == "end":
+        ends[-1] = ""
+    elif damage == "run-on":  # a line runs on into the next, or to the end of the file
+        ends[row] = "7"
+    return header + "".join(",".join(line) + end for line, end in zip(lines, ends))
+
+
+@st.composite
+def fixed_point_files(draw, values_per_row, header, cells, misses):
+    count = draw(st.integers(1, 14))
+    ids = draw(st.lists(fixed_ids, min_size=count, max_size=count, unique=True))
+    lines = [[sample_id, *draw(st.lists(cells, min_size=values_per_row,
+                                        max_size=values_per_row))] for sample_id in ids]
+    return damaged(draw, header, lines, misses)
 
 
 fixed_prediction_files = st.integers(2, 4).flatmap(lambda c: fixed_point_files(
     c, "id," + ",".join(f"c{j}" for j in range(c)) + "\n", fixed_cells, near_miss_cells))
 label_cells = st.one_of(digits(1, 18), st.just("0"))
-fixed_label_files = fixed_point_files(1, "id,label\n", label_cells, st.one_of(
+near_miss_labels = st.one_of(
     digits(19, 21), one_byte_replaced(label_cells, ":/.+- \r٣"),
-    st.sampled_from(["-0", "-3", "+3", " 1", "1\r", "٣", "1.0", ""])))
+    st.sampled_from(["-0", "-3", "+3", " 1", "1\r", "٣", "1.0", ""]))
+fixed_label_files = fixed_point_files(1, "id,label\n", label_cells, near_miss_labels)
+
+
+@st.composite
+def one_layout_files(draw, values_per_row, header, decimals, widths, misses):
+    """Files whose lines share one byte layout, as clskit writes them: ids
+    of one byte length and cells of one width, the widths the kernel takes
+    and one past them, with the damage of :func:`fixed_point_files`, a comma
+    moved off its column, a delimiter in an id, or a newline replaced by a
+    digit."""
+    count = draw(st.integers(1, 14))
+    ids = draw(st.lists(fixed_ids, min_size=count, max_size=count, unique=True))
+    # "_" pads every id to the longest in bytes; it is not in the id
+    # alphabet, so the padded ids stay distinct
+    longest = max(len(sample_id.encode("utf-8")) for sample_id in ids)
+    ids = [sample_id + "_" * (longest - len(sample_id.encode("utf-8"))) for sample_id in ids]
+    width = draw(widths)
+    fraction = decimals + 1 if decimals else 0
+    signs = st.sampled_from(["", "-"] if draw(st.booleans()) and width > fraction + 1 else [""])
+
+    def cell():
+        sign = draw(signs)
+        whole = width - fraction - len(sign)  # integer digits
+        size = whole + decimals
+        body = draw(st.one_of(digits(size, size), st.just("0" * size)))  # -0.000000000 too
+        return sign + body[:whole] + ("." + body[whole:] if decimals else "")
+
+    lines = [[sample_id, *(cell() for _ in range(values_per_row))] for sample_id in ids]
+    return damaged(draw, header, lines, misses, kinds=("shift", "delimiter in id", "run-on"))
+
+
+one_layout_prediction_files = st.integers(2, 4).flatmap(lambda c: one_layout_files(
+    c, "id," + ",".join(f"c{j}" for j in range(c)) + "\n", 9, st.integers(11, 17),
+    near_miss_cells))
+one_layout_label_files = one_layout_files(1, "id,label\n", 0, st.integers(1, 19),
+                                          near_miss_labels)
 
 
 @settings(max_examples=300)
@@ -546,6 +604,66 @@ def test_read_labels_of_fixed_point_text_matches_line_by_line_reader(scratch_csv
     with mock.patch.object(fileio, "CHUNK_ELEMENTS", chunk):
         got = outcome(read_labels, scratch_csv)
     assert got == outcome(oracle_read_labels, scratch_csv)
+
+
+# Every chunk size, so that the blocks of most files are one-layout views of
+# many lines.
+@settings(max_examples=200)
+@given(text=one_layout_prediction_files)
+def test_read_predictions_of_one_layout_text_matches_line_by_line_reader(scratch_csv, text):
+    with open(scratch_csv, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
+    expected = outcome(oracle_read_predictions, scratch_csv)
+    for chunk in CHUNKS:
+        with mock.patch.object(fileio, "CHUNK_ELEMENTS", chunk):
+            assert outcome(read_predictions, scratch_csv) == expected
+
+
+@settings(max_examples=200)
+@given(text=one_layout_label_files)
+def test_read_labels_of_one_layout_text_matches_line_by_line_reader(scratch_csv, text):
+    with open(scratch_csv, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
+    expected = outcome(oracle_read_labels, scratch_csv)
+    for chunk in CHUNKS:
+        with mock.patch.object(fileio, "CHUNK_ELEMENTS", chunk):
+            assert outcome(read_labels, scratch_csv) == expected
+
+
+def test_ids_that_outgrow_their_width_mid_file_read_as_the_line_reader_reads_them(tmp_path):
+    # s9999 -> s10000: the lines around it differ in length, so that block is
+    # scanned for its delimiters, and the blocks before and after are views
+    rng = np.random.default_rng(45)
+    path = str(tmp_path / "p.csv")
+    write_predictions(path, [f"s{i}" for i in range(9990, 10190)],
+                      rng.dirichlet(np.ones(3), size=200))
+    labels = str(tmp_path / "l.csv")
+    write_labels(labels, [f"s{i}" for i in range(9990, 10190)], rng.integers(0, 3, size=200))
+    for read, oracle, file in [(read_predictions, oracle_read_predictions, path),
+                               (read_labels, oracle_read_labels, labels)]:
+        with mock.patch.object(fileio, "CHUNK_ELEMENTS", 64), \
+                mock.patch.object(fileio, "_one_layout_cells",
+                                  wraps=fileio._one_layout_cells) as one_layout, \
+                mock.patch.object(fileio, "_scanned_cells", wraps=fileio._scanned_cells) as scan, \
+                mock.patch.object(fileio, "_read_lines", wraps=fileio._read_lines) as general:
+            got = outcome(read, file)
+        # every block tries the view first; only a mixed one is scanned
+        assert 1 <= scan.call_count < one_layout.call_count
+        assert general.call_count == 0
+        assert got == outcome(oracle, file)
+
+
+def test_clskit_written_probability_files_are_never_scanned(tmp_path):
+    rng = np.random.default_rng(46)
+    path = str(tmp_path / "p.csv")
+    # ids as `clskit train` writes them, probabilities, 1.0 and 0.0 among them
+    matrix = rng.dirichlet(np.ones(10), size=20000)
+    matrix[:2] = np.eye(10)[:2]
+    write_predictions(path, [f"va{i:05d}" for i in range(20000)], matrix)
+    with mock.patch.object(fileio, "_scanned_cells", wraps=fileio._scanned_cells) as scan:
+        got = outcome(read_predictions, path)
+    assert scan.call_count == 0
+    assert got == outcome(oracle_read_predictions, path)
 
 
 def test_clskit_written_files_are_read_without_the_general_parser(tmp_path):
@@ -701,6 +819,25 @@ def test_write_predictions_matches_per_row_formatter(scratch_csv, matrix, chunk,
             write_predictions(scratch_csv, ids, matrix)
             with open(scratch_csv, "rb") as handle:
                 assert handle.read() == expected.encode("utf-8")
+
+
+@given(data=st.data())
+def test_blocks_of_ids_of_unequal_byte_length_match_per_row_formatter(scratch_csv, data):
+    # Blocks of 4 rows or more whose ids differ in byte length, so that every
+    # block pads some ids and must drop the padding again.
+    rows = data.draw(st.integers(4, 24))
+    num_classes = data.draw(st.integers(2, 8))
+    matrix = data.draw(st.lists(st.floats(-1e5, 1e5), min_size=rows * num_classes,
+                                max_size=rows * num_classes).map(np.array))
+    matrix = matrix.reshape(rows, num_classes)
+    ids = data.draw(st.lists(sample_ids, min_size=rows, max_size=rows, unique=True))
+    block_rows = data.draw(st.integers(4, rows))
+    expected = "id," + ",".join(f"c{j}" for j in range(num_classes)) + "\n" + "".join(
+        i + "," + ",".join(oracle_format_row(row)) + "\n" for i, row in zip(ids, matrix))
+    with mock.patch.object(fileio, "CHUNK_ELEMENTS", block_rows * num_classes):
+        write_predictions(scratch_csv, ids, matrix)
+    with open(scratch_csv, "rb") as handle:
+        assert handle.read() == expected.encode("utf-8")
 
 
 @given(matrix=prediction_matrices(kinds=("probabilities", "bounded")), chunk=chunk_sizes)
