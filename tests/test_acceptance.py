@@ -11,6 +11,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+from oracles import ordered_sum
 
 from clskit.cli import main
 from clskit.ensemble import fuse, sweep_weights
@@ -149,7 +150,8 @@ def test_criterion_4_freeze_contract(capsys):
 
 # 5. metric oracle equivalence ------------------------------------------------
 # Brute-force oracles follow the definitions directly: explicit sorts and
-# pair loops, no shared code with the package implementations.
+# pair loops, no shared code with the package implementations.  Means add
+# their floats left to right, the same bits on every Python version.
 
 def oracle_topk(scores, labels, k):
     hits = 0
@@ -175,7 +177,7 @@ def oracle_mca(scores, labels):
             if best_j == c:
                 correct += 1
         recalls.append(correct / len(rows))
-    return sum(recalls) / len(recalls)
+    return ordered_sum(recalls) / len(recalls)
 
 
 def oracle_map(scores, labels):
@@ -191,8 +193,8 @@ def oracle_map(scores, labels):
             if labels[i] == c:
                 found += 1
                 precisions.append(found / rank)
-        aps.append(sum(precisions) / num_pos)
-    return sum(aps) / len(aps)
+        aps.append(ordered_sum(precisions) / num_pos)
+    return ordered_sum(aps) / len(aps)
 
 
 def oracle_mauc(scores, labels):
@@ -210,7 +212,7 @@ def oracle_mauc(scores, labels):
                 elif a == b:
                     ties += 1
         aucs.append((wins + 0.5 * ties) / (len(pos) * len(neg)))
-    return sum(aucs) / len(aucs)
+    return ordered_sum(aucs) / len(aucs)
 
 
 def test_criterion_5_metric_oracle_equivalence(capsys):

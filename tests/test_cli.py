@@ -412,6 +412,31 @@ def test_sweep_grid_overflow_exits_2(tmp_path, capsys):
     assert "grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("identical", [True, False])
+def test_sweep_mauc_without_a_qualifying_class_exits_2(tmp_path, capsys, identical):
+    # every label is class 0, so no class has a negative: identical members
+    # score one point, distinct members every chunk of the grid
+    rng = np.random.default_rng(53)
+    ids = [f"s{i}" for i in range(6)]
+    paths = []
+    for k in range(2):
+        m = np.stack([np.exp(z) / np.exp(z).sum() for z in rng.normal(size=(6, 3))])
+        path = str(tmp_path / f"m{k}.csv")
+        write_predictions(path, ids, m)
+        paths.append(path)
+    if identical:
+        paths[1] = paths[0]
+    labels = str(tmp_path / "l.csv")
+    write_labels(labels, ids, np.zeros(6, dtype=int))
+    args = ["sweep", "--labels", labels, "--resolution", "4", "--objective", "mauc"]
+    for p in paths:
+        args += ["--preds", p]
+    assert main(args) == 2
+    assert capsys.readouterr().err == (
+        "error: mean_auc needs a class with both positives and negatives\n"
+    )
+
+
 def test_sweep_needs_two_members(tmp_path, capsys):
     preds, labels = eight_sample_files(tmp_path)
     assert main(["sweep", "--preds", preds, "--labels", labels]) == 2

@@ -1,5 +1,6 @@
 """Fusion exactness properties and the simplex weight sweep."""
 
+import builtins
 import math
 import tracemalloc
 from contextlib import contextmanager
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import compensated_sum
 
 from clskit import ensemble
 from clskit.ensemble import (
@@ -569,6 +571,20 @@ def test_sweep_beats_or_matches_every_member():
     _, score = sweep_weights(members, labels, resolution=4, objective="map")
     for m in members:
         assert score >= mean_average_precision(m, labels)
+
+
+@pytest.mark.parametrize("objective", ["map", "mauc"])
+def test_sweep_bits_do_not_depend_on_the_python_sum(objective, monkeypatch):
+    # Python 3.12's sum compensates; means added with it would change both
+    # answers at this seed
+    rng = np.random.default_rng(44)
+    members = random_members(rng, 3, n=60, num_classes=6)
+    labels = rng.integers(0, 6, size=60)
+    weights, score = sweep_weights(members, labels, 6, objective)
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    patched_weights, patched_score = sweep_weights(members, labels, 6, objective)
+    assert np.array_equal(bits(patched_weights), bits(weights))
+    assert patched_score == score
 
 
 def test_sweep_objectives_all_run():

@@ -2,6 +2,7 @@
 definitions.  On small instances the package values must match the oracles
 exactly, including every tie case."""
 
+import builtins
 import tracemalloc
 from unittest import mock
 
@@ -9,11 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import compensated_sum, ordered_sum
 
 from clskit import metrics
 from clskit.metrics import (
     MetricReport,
     _class_order,
+    _ranking_means,
     _topk_hits,
     full_report,
     mean_auc,
@@ -24,6 +27,7 @@ from clskit.metrics import (
 
 # -- oracles -------------------------------------------------------------
 # Independent formulations: explicit sorts and pair loops, no numpy logic.
+# Means add their floats left to right, the same bits on every Python version.
 
 
 def oracle_topk(scores, labels, k):
@@ -51,7 +55,7 @@ def oracle_mca(scores, labels):
             if best_j == c:
                 correct += 1
         recalls.append(correct / len(rows))
-    return sum(recalls) / len(recalls)
+    return ordered_sum(recalls) / len(recalls)
 
 
 def oracle_map(scores, labels):
@@ -68,8 +72,8 @@ def oracle_map(scores, labels):
             if labels[i] == c:
                 found += 1
                 precisions.append(found / rank)
-        aps.append(sum(precisions) / num_pos)
-    return sum(aps) / len(aps)
+        aps.append(ordered_sum(precisions) / num_pos)
+    return ordered_sum(aps) / len(aps)
 
 
 def oracle_mauc(scores, labels):
@@ -88,7 +92,7 @@ def oracle_mauc(scores, labels):
                 elif a == b:
                     ties += 1
         aucs.append((wins + 0.5 * ties) / (len(pos) * len(neg)))
-    return sum(aucs) / len(aucs)
+    return ordered_sum(aucs) / len(aucs)
 
 
 def random_instance(rng):
@@ -214,6 +218,53 @@ def test_class_order_is_the_stable_descending_sort(block):
     starts = np.ones(block.shape, dtype=bool)
     starts[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
     assert np.array_equal(bounds, np.append(np.flatnonzero(starts), block.size))
+
+
+@st.composite
+def tied_stacks(draw):
+    # the fused points of a sweep chunk: values rounded to 0-2 decimals, with
+    # signed zeros, so most rows hold runs of equal scores
+    points = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 12))
+    num_classes = draw(st.integers(2, 5))
+    decimals = draw(st.integers(0, 2))
+    rounded = st.floats(-1.0, 1.0).map(lambda v: round(v, decimals))
+    size = points * n * num_classes
+    values = draw(st.lists(st.one_of(rounded, st.sampled_from([0.0, -0.0])),
+                           min_size=size, max_size=size))
+    labels = draw(st.lists(st.integers(0, num_classes - 1), min_size=n, max_size=n))
+    return np.array(values).reshape(points, n, num_classes), np.array(labels)
+
+
+@given(tied_stacks(), st.integers(1, 60))
+def test_stacked_ranking_matches_oracles_per_point(instance, chunk):
+    # blocks of chunk // n rows start and end inside points as well as at their edges
+    stack, labels = instance
+    with mock.patch.object(metrics, "CHUNK_ELEMENTS", chunk):
+        if len(set(labels.tolist())) == 1:
+            with pytest.raises(ValueError, match="mean_auc needs a class with both"):
+                _ranking_means(stack, labels, "map", "mauc")
+            (mean_ap,) = _ranking_means(stack, labels, "map")
+            mean_roc_auc = None
+        else:
+            mean_ap, mean_roc_auc = _ranking_means(stack, labels, "map", "mauc")
+    assert mean_ap.shape == (len(stack),)
+    for point, scores in enumerate(stack):
+        assert mean_ap[point] == oracle_map(scores, labels)
+        if mean_roc_auc is not None:
+            assert mean_roc_auc[point] == oracle_mauc(scores, labels)
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_full_report_bits_do_not_depend_on_the_python_sum(seed, monkeypatch):
+    # Python 3.12's sum compensates; a mean added with it would change its
+    # bits at these seeds, mAP's at seed 0 and mAUC's at seed 2
+    rng = np.random.default_rng(seed)
+    scores = rng.uniform(size=(2000, 10))
+    labels = rng.integers(0, 10, size=2000)
+    plain = full_report(scores, labels).as_dict()
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    assert full_report(scores, labels).as_dict() == plain
 
 
 def test_map_heap_stays_linear_at_scale():
