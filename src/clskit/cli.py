@@ -26,7 +26,13 @@ from .fileio import (
     write_predictions,
 )
 from .metrics import full_report
-from .schedule import StepDecaySchedule, schedule_rows
+from .schedule import (
+    DEFAULT_BASE_LR,
+    DEFAULT_MULTIPLIERS,
+    DEFAULT_STEP_EPOCHS,
+    StepDecaySchedule,
+    schedule_rows,
+)
 from .trainer import predict, train
 
 
@@ -63,10 +69,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--emit-manifest", help="write best weights as a manifest JSON")
 
     p_sched = sub.add_parser("schedule", help="print a step-decay learning-rate table")
-    p_sched.add_argument("--base-lr", type=float, default=1e-4)
-    p_sched.add_argument("--steps", default="0,2,4,6,8",
+    p_sched.add_argument("--base-lr", type=float, default=DEFAULT_BASE_LR)
+    p_sched.add_argument("--steps", default=",".join(map(str, DEFAULT_STEP_EPOCHS)),
                          help="comma-separated epoch breakpoints")
-    p_sched.add_argument("--mults", default="1,0.7,0.5,0.3,0.1",
+    p_sched.add_argument("--mults", default=",".join(map(str, DEFAULT_MULTIPLIERS)),
                          help="comma-separated multipliers, one per breakpoint")
     p_sched.add_argument("--epochs", type=int, default=10)
     return parser

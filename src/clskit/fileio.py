@@ -2,7 +2,7 @@
 
 Prediction files carry one header row ``id,c0,...,c{C-1}`` and one row per
 sample: an id (no commas) followed by C reals printed with 9 fixed
-decimals.  Rounding preserves row sums (see :func:`_format_row`), so the
+decimals.  Rounding preserves row sums (see :func:`_units`), so the
 format round-trips below every tolerance used in this package.  All text
 is UTF-8 with LF line endings, and writing is deterministic: identical
 inputs produce identical bytes.
@@ -23,13 +23,14 @@ general path: it is read line by line, each cell parsed with ``float`` (or
 ``int``), and its first bad line raises the error.
 Predictions are written in blocks of about ``CHUNK_ELEMENTS`` values, and
 each block is the mirror image of the reader's kernel: the printed units of
-every value come from one batched int64 rounding, and their digits are
-written straight into one ``uint8`` buffer, three decimals at a time from a
-table of 3-digit groups, with the ids UTF-8 encoded by one join; one mask
-drops the unused slots of shorter cells and ids.  Values too large for int64
-units are printed row by row in exact integers.  Every file is written to a
-temporary file beside its target, which replaces the target only once it is
-complete, so a failed write leaves no partial file behind.
+every value come from one batched rounding (in Python ints when int64 sums
+could overflow), and their digits are written straight into one ``uint8``
+buffer, three decimals at a time from a table of 3-digit groups, with the
+ids UTF-8 encoded by one join; one mask drops the unused slots of shorter
+cells and ids.  Run configs and manifests are read by one schema reader
+from their dataclasses' types.  Every file is written to a temporary file
+beside its target, which replaces the target only once it is complete, so
+a failed write leaves no partial file behind.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import SCORE_TYPES, EnsembleManifest, EnsembleMember, _exact_sum
+from .ensemble import EnsembleManifest, EnsembleMember, _exact_sum
 from .losses import LossConfig
 from .numerics import CHUNK_ELEMENTS, check_prediction_matrix
 from .schedule import (
@@ -90,63 +91,42 @@ def _atomic_write(path: str):
         raise
 
 
-def _check_ids(ids: list[str], seen: set[str] | None = None, where: str | None = None) -> None:
-    """Add ``ids`` to ``seen`` if they are non-empty, comma-free, distinct and
-    not in ``seen``, or raise naming the first id that fails.  Batched string
-    and set operations check them first; without ``seen``, a sort finds
-    repeats in a fraction of a set's memory.  ``where`` (``path:line``) marks
-    an id read from a file, whose errors are worded as the readers word them."""
+def _check_ids(ids: list[str]) -> None:
+    """Raise naming the first of ``ids`` that is empty, has a comma or
+    repeats.  Batched string operations and a sort, which finds repeats in
+    a fraction of a set's memory, check them first."""
     if "" not in ids and "," not in "".join(ids):
-        if seen is None:
-            order = sorted(ids)
-            if all(map(str.__ne__, order, order[1:])):
-                return
-        else:
-            fresh = set(ids)
-            if len(fresh) == len(ids) and seen.isdisjoint(fresh):
-                seen |= fresh
-                return
-    seen = set() if seen is None else seen
+        order = sorted(ids)
+        if all(map(str.__ne__, order, order[1:])):
+            return
+    seen = set()
     for sample_id in ids:
         if not sample_id or "," in sample_id:
-            if where:
-                raise ValueError(f"{where}: empty sample id")
             raise ValueError(f"sample id must be non-empty and comma-free, got {sample_id!r}")
         if sample_id in seen:
-            prefix = f"{where}: " if where else ""
-            raise ValueError(f"{prefix}duplicate sample id {sample_id!r}")
+            raise ValueError(f"duplicate sample id {sample_id!r}")
         seen.add(sample_id)
 
 
-def _format_row(row: np.ndarray) -> list[str]:
-    # Sum-preserving rounding (largest remainder): each printed value stays
-    # within one 1e-9 unit of the true value, and the printed row total is
-    # the true total rounded to 9 decimals, so row-stochastic matrices stay
-    # row-stochastic in file form.
-    scaled = [v * _UNIT for v in row]
-    base = [math.floor(u) for u in scaled]
-    short = round(math.fsum(scaled)) - sum(base)
-    by_remainder = sorted(range(len(base)), key=lambda j: (base[j] - scaled[j], j))
-    bump = set(by_remainder[:short])
-    cells = []
-    for j, b in enumerate(base):
-        units = b + (1 if j in bump else 0)
-        sign = "-" if units < 0 else ""
-        mag = abs(units)
-        cells.append(f"{sign}{mag // _UNIT}.{mag % _UNIT:09d}")
-    return cells
-
-
 def _units(scaled: np.ndarray) -> np.ndarray:
-    """The printed units :func:`_format_row` gives every row of an ``(r, C)``
-    block of scaled values, in int64 arithmetic; the caller keeps every
-    magnitude below ``2**62 / C`` so no sum overflows."""
+    """The printed units of every row of an ``(r, C)`` block of scaled values,
+    by sum-preserving rounding (largest remainder): each printed value stays
+    within one 1e-9 unit of the true value, and the printed row total is the
+    true total rounded to 9 decimals, so row-stochastic matrices stay
+    row-stochastic in file form.  int64 while every magnitude is below
+    ``2**62 / C``, so no sum overflows, else Python ints; a row total past
+    the float range raises OverflowError."""
     num_classes = scaled.shape[1]
     floor = np.floor(scaled)
-    base = floor.astype(np.int64)
-    short = np.rint(_exact_sum(scaled.T)).astype(np.int64) - base.sum(axis=1)
-    # How many classes ``by_remainder[:short]`` bumps: with a negative
-    # ``short`` (a row total rounded below the floors' sum), all but -short.
+    total = np.rint(_exact_sum(scaled.T))
+    if np.abs(scaled).max() < 2.0**62 / num_classes:
+        base, short = floor.astype(np.int64), total.astype(np.int64)
+    else:
+        exact = np.frompyfunc(int, 1, 1)
+        base, short = exact(floor), exact(total)
+    short = short - base.sum(axis=1)
+    # How many classes the shortfall bumps: with a negative shortfall (a row
+    # total rounded below the floors' sum), all but -short.
     count = np.where(short >= 0, short, short + num_classes)
     order = np.argsort(floor - scaled, axis=1, kind="stable")
     position = np.empty_like(order)
@@ -162,7 +142,8 @@ _GROUPS = np.frombuffer(b"".join(b"%03d\0" % k for k in range(1000)), "<u4")
 
 def _emit(ids: list[str], units: np.ndarray) -> np.ndarray:
     """The bytes of the data lines for ``ids`` and an ``(r, C)`` block of
-    printed units, spelled as :func:`_format_row` spells them.
+    printed units (int64 or Python ints): per cell an optional ``-``, the
+    whole units, a point and 9 decimals.
 
     Every byte goes into one ``uint8`` buffer with a fixed slot for each byte
     any row of the block may need: the id and its comma, left-aligned in a
@@ -229,28 +210,27 @@ def _emit(ids: list[str], units: np.ndarray) -> np.ndarray:
     return buf.reshape(-1) if keep.all() else buf[keep]
 
 
-def _format_block(ids: list[str], block: np.ndarray) -> bytes | np.ndarray:
+def _format_block(ids: list[str], block: np.ndarray) -> np.ndarray:
     """The bytes of the data lines of a prediction file for ``ids`` and the
     rows of ``block``."""
-    num_classes = block.shape[1]
     with np.errstate(over="ignore"):
         scaled = block * _UNIT
     finite = np.isfinite(scaled)
     if not finite.all():
         value = float(block[~finite][0])
         raise ValueError(f"value {value!r} is too large to print with 9 decimals")
-    if np.abs(scaled).max() >= 2.0**62 / num_classes:
-        # int64 could overflow: format row by row in exact integers
-        lines = []
-        for sample_id, row in zip(ids, block):
+    try:
+        units = _units(scaled)
+    except OverflowError:  # a row sum leaves the float range: name the first
+        for sample_id, row in zip(ids, scaled.tolist()):
             try:
-                lines.append(sample_id + "," + ",".join(_format_row(row)) + "\n")
-            except OverflowError:  # the row sum leaves the float range
+                round(math.fsum(row))
+            except OverflowError:
                 raise ValueError(
                     f"row {sample_id!r} sums past the float range when printed with 9 decimals"
                 ) from None
-        return "".join(lines).encode("utf-8")
-    return _emit(ids, _units(scaled))
+        raise
+    return _emit(ids, units)
 
 
 def write_predictions(path: str, ids: list[str], matrix: np.ndarray) -> None:
@@ -455,8 +435,10 @@ def _read_lines(path: str, data: bytes, width: int, parse) -> tuple[list[str], l
         row = line.split(",")
         if len(row) != width:
             raise ValueError(f"{where}: expected {width} columns, got {len(row)}")
-        if not row[0] or row[0] in seen:
-            _check_ids(row[:1], seen, where)
+        if not row[0]:
+            raise ValueError(f"{where}: empty sample id")
+        if row[0] in seen:
+            raise ValueError(f"{where}: duplicate sample id {row[0]!r}")
         seen.add(row[0])
         ids.append(row[0])
         values.extend([parse(text, where) for text in row[1:]])
@@ -573,7 +555,13 @@ class RunConfig:
 
 def _is_json(kind: type, value) -> bool:
     """Whether a JSON value has the annotated type ``kind``: bool is not an
-    int, and an int is a float when ``float`` can hold it."""
+    int, an int is a float when ``float`` can hold it, a dataclass is an
+    object and a tuple a list of its item type."""
+    if dataclasses.is_dataclass(kind):
+        return isinstance(value, dict)
+    if typing.get_origin(kind) is tuple:
+        item = typing.get_args(kind)[0]
+        return isinstance(value, list) and all(_is_json(item, v) for v in value)
     if isinstance(value, bool):
         return kind is bool
     if kind is float and isinstance(value, int):
@@ -581,45 +569,65 @@ def _is_json(kind: type, value) -> bool:
     return isinstance(value, (int, float) if kind is float else kind)
 
 
+def _json_name(kind: type) -> str:
+    """What errors call a JSON value of the annotated type ``kind``."""
+    if typing.get_origin(kind) is tuple:
+        return "a list of " + _json_name(typing.get_args(kind)[0]).removeprefix("a ")
+    return "a JSON object" if dataclasses.is_dataclass(kind) else kind.__name__
+
+
 _field_types = functools.cache(typing.get_type_hints)
 
 
-def _from_json(cls, data: dict, path: str, noun: str):
-    """``cls(**data)`` once every key of the JSON object ``data`` is a field
-    of the dataclass ``cls`` and every value has the field's annotated type:
-    a tuple field takes a list, a dataclass field an object."""
+def _from_json(cls, data, path: str, noun: str):
+    """``cls(**data)`` once the JSON value ``data`` is an object that has every
+    field of the dataclass ``cls`` without a default, no other keys, and
+    values of their fields' types (:func:`_is_json`), converted: an object
+    to its dataclass, a list to a tuple, an int for a float to a float.
+    Errors name ``path`` and ``noun``, or for a tuple's items the field's
+    singular ("member" for ``members``)."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: {noun} must be a JSON object")
     hints = _field_types(cls)
     unknown = set(data) - set(hints)
     if unknown:
         raise ValueError(f"{path}: unknown {noun} keys {sorted(unknown)}")
+    required = [f.name for f in dataclasses.fields(cls)
+                if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+    if not data.keys() >= set(required):
+        raise ValueError(f"{path}: {noun} must have {' and '.join(map(repr, required))}")
+
+    def convert(kind: type, value, name: str):
+        if dataclasses.is_dataclass(kind):
+            return _from_json(kind, value, path, name)
+        if typing.get_origin(kind) is tuple:
+            item = typing.get_args(kind)[0]
+            return tuple(convert(item, v, name.removesuffix("s")) for v in value)
+        return float(value) if kind is float else value
+
     values = {}
     for name, value in data.items():
         kind = hints[name]
-        if dataclasses.is_dataclass(kind):
-            if not isinstance(value, dict):
-                raise ValueError(f"{path}: {name!r} must be a JSON object")
-            value = _from_json(kind, value, path, name)
-        elif typing.get_origin(kind) is tuple:
-            item = typing.get_args(kind)[0]
-            if not isinstance(value, list) or not all(_is_json(item, v) for v in value):
-                raise ValueError(
-                    f"{path}: {name!r} must be a list of {item.__name__}, got {value!r}"
-                )
-            value = tuple(value)
-        elif not _is_json(kind, value):
-            raise ValueError(f"{path}: {name!r} must be {kind.__name__}, got {value!r}")
-        values[name] = value
+        if not _is_json(kind, value):
+            raise ValueError(f"{path}: {noun} {name!r} must be {_json_name(kind)}, got {value!r}")
+        values[name] = convert(kind, value, name)
     return cls(**values)
+
+
+def _load_json(path: str, cls, noun: str):
+    """The JSON document at ``path`` read as ``cls`` by :func:`_from_json`;
+    one nested past the recursion limit is a ValueError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return _from_json(cls, json.load(handle), path, noun)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def load_run_config(path: str) -> RunConfig:
     """Parse and validate a run config; raises ValueError naming the violated
     invariant on any bad value."""
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: run config must be a JSON object")
-    config = _from_json(RunConfig, data, path, "config")
+    config = _load_json(path, RunConfig, "config")
     config.to_train_config()  # surfaces invariant violations at load time
     if config.dataset.n_train < config.dataset.classes or config.dataset.n_val < config.dataset.classes:
         raise ValueError("dataset splits need at least one sample per class")
@@ -629,37 +637,16 @@ def load_run_config(path: str) -> RunConfig:
 def load_manifest(path: str) -> EnsembleManifest:
     """Parse a fusion manifest; relative member paths resolve against the
     manifest file's directory."""
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: manifest must be a JSON object")
-    unknown = set(data) - {"members", "score_type"}
-    if unknown:
-        raise ValueError(f"{path}: unknown manifest keys {sorted(unknown)}")
-    members_data = data.get("members")
-    if not isinstance(members_data, list):
-        raise ValueError(f"{path}: manifest 'members' must be a list")
+    manifest = _load_json(path, EnsembleManifest, "manifest")
     base = os.path.dirname(os.path.abspath(path))
-    members = []
-    for entry in members_data:
-        if not isinstance(entry, dict) or set(entry) != {"path", "weight"}:
-            raise ValueError(f"{path}: each member must be an object with 'path' and 'weight'")
-        member_path, weight = entry["path"], entry["weight"]
-        if not isinstance(member_path, str):
-            raise ValueError(f"{path}: member 'path' must be str, got {member_path!r}")
-        if not _is_json(float, weight):
-            raise ValueError(f"{path}: member 'weight' must be float, got {weight!r}")
-        if not os.path.isabs(member_path):
-            member_path = os.path.join(base, member_path)
-        members.append(EnsembleMember(path=member_path, weight=float(weight)))
-    return EnsembleManifest(members=tuple(members), score_type=data.get("score_type", "prob"))
+    members = [dataclasses.replace(m, path=os.path.join(base, m.path)) for m in manifest.members]
+    return dataclasses.replace(manifest, members=members)
 
 
 def write_manifest(path: str, member_paths: list[str], weights: list[float], score_type: str) -> None:
     """Write a manifest; member paths are stored relative to the manifest's
-    directory when possible so the file is relocatable."""
-    if score_type not in SCORE_TYPES:
-        raise ValueError(f"score_type must be one of {SCORE_TYPES}, got {score_type!r}")
+    directory when possible so the file is relocatable.  A manifest that
+    :class:`EnsembleManifest` rejects is not written."""
     base = os.path.dirname(os.path.abspath(path))
     members = []
     for member_path, weight in zip(member_paths, weights):
@@ -667,7 +654,7 @@ def write_manifest(path: str, member_paths: list[str], weights: list[float], sco
             stored = os.path.relpath(os.path.abspath(member_path), base)
         except ValueError:
             stored = os.path.abspath(member_path)
-        members.append({"path": stored, "weight": float(weight)})
-    document = {"members": members, "score_type": score_type}
+        members.append(EnsembleMember(path=stored, weight=float(weight)))
+    manifest = EnsembleManifest(members=tuple(members), score_type=score_type)
     with _atomic_write(path) as handle:
-        handle.write((json.dumps(document, indent=2) + "\n").encode("utf-8"))
+        handle.write((json.dumps(dataclasses.asdict(manifest), indent=2) + "\n").encode("utf-8"))

@@ -559,10 +559,13 @@ rare = st.sampled_from([True] + [False] * 11)  # uniform, unlike small integers
 
 
 def damaged(draw, doc: dict, junk=json_junk) -> dict:
-    """``doc``, sometimes with one value replaced by junk or an unknown key."""
-    fault = draw(st.sampled_from(["none"] * 16 + ["value", "key"]))
+    """``doc``, sometimes with one value replaced by junk, one key dropped or
+    an unknown key."""
+    fault = draw(st.sampled_from(["none"] * 16 + ["value", "drop", "key"]))
     if fault == "value" and doc:
         doc[draw(st.sampled_from(sorted(doc)))] = draw(junk)
+    elif fault == "drop" and doc:
+        del doc[draw(st.sampled_from(sorted(doc)))]
     elif fault == "key":
         doc["unknown"] = draw(json_junk)
     return doc
@@ -716,7 +719,7 @@ def fuzz_dir(tmp_path_factory):
 
 @settings(max_examples=300)
 @given(argv=argvs(), csvs=csv_sets(), run_config=run_configs(), manifest=manifests(),
-       json_form=st.sampled_from(["object"] * 22 + ["bytes", "other"]),
+       json_form=st.sampled_from(["object"] * 22 + ["deep", "bytes", "other"]),
        raw_json=st.binary(max_size=12), junk=json_junk)
 def test_main_exits_0_or_2_without_a_traceback(fuzz_dir, argv, csvs, run_config, manifest,
                                                json_form, raw_json, junk):
@@ -733,6 +736,8 @@ def test_main_exits_0_or_2_without_a_traceback(fuzz_dir, argv, csvs, run_config,
             (fuzz_dir / name).write_bytes(raw_json)
         elif json_form == "other":  # JSON, but not an object
             (fuzz_dir / name).write_text(json.dumps(junk), encoding="utf-8")
+        elif json_form == "deep":  # nested past the recursion limit
+            (fuzz_dir / name).write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
     argv = [str(fuzz_dir / arg) if arg in FILES else arg for arg in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clskit import fileio
+from clskit.ensemble import EnsembleManifest, EnsembleMember
 from clskit.fileio import (
     DatasetSpec,
     RunConfig,
@@ -267,11 +268,60 @@ def test_load_manifest_rejects_bad_documents(tmp_path):
         )
     expect_error({"members": [{"path": 3, "weight": 0.5}, {"path": "b", "weight": 0.5}]},
                  f"{path}: member 'path' must be str, got 3")
+    expect_error({"score_type": "prob"}, f"{path}: manifest must have 'members'")
 
 
 def test_write_manifest_rejects_bad_score_type(tmp_path):
     with pytest.raises(ValueError):
         write_manifest(str(tmp_path / "m.json"), ["a", "b"], [0.5, 0.5], "energy")
+
+
+def test_json_nested_past_the_recursion_limit_is_a_value_error_naming_the_file(tmp_path):
+    path = tmp_path / "deep.json"
+    for text in ["[" * 100_000, '{"members": ' + "[" * 100_000 + "]" * 100_000 + "}"]:
+        path.write_text(text, encoding="utf-8")
+        message = f"^{re.escape(str(path))}: JSON nested too deeply$"
+        for load in (load_run_config, load_manifest):
+            with pytest.raises(ValueError, match=message):
+                load(str(path))
+
+
+@pytest.fixture(scope="module")
+def manifest_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("manifests")
+    (directory / "work").mkdir()
+    return directory
+
+
+simplex_weights = st.lists(st.integers(0, 20), min_size=1, max_size=5).filter(sum).map(
+    lambda parts: [part / sum(parts) for part in parts])
+
+
+@given(weights=simplex_weights | st.lists(st.floats(), max_size=5),
+       score_type=st.sampled_from(["prob", "logit", "energy"]), data=st.data())
+def test_written_manifests_load_back_bit_for_bit(manifest_dir, weights, score_type, data):
+    # Members under the manifest's directory, beside it and above it, given
+    # to the writer as absolute paths or relative to the working directory.
+    manifest = manifest_dir / "work" / "m.json"
+    targets = [str(manifest_dir / data.draw(st.sampled_from(["work", "work/sub", "other", "."]))
+                   / f"p{k}.csv") for k in range(len(weights))]
+    given_paths = [data.draw(st.sampled_from([target, os.path.relpath(target)]))
+                   for target in targets]
+    try:
+        EnsembleManifest(tuple(EnsembleMember(p, w) for p, w in zip(given_paths, weights)),
+                         score_type)
+    except ValueError:
+        with pytest.raises(ValueError):
+            write_manifest(str(manifest), given_paths, weights, score_type)
+        return
+    write_manifest(str(manifest), given_paths, weights, score_type)
+    stored = json.loads(manifest.read_text(encoding="utf-8"))
+    assert not any(os.path.isabs(member["path"]) for member in stored["members"])
+    loaded = load_manifest(str(manifest))
+    assert loaded.weights().tobytes() == np.array(weights).tobytes()
+    assert loaded.score_type == score_type
+    assert [os.path.normpath(p) for p in loaded.paths()] == targets
+    assert all(os.path.isabs(p) for p in loaded.paths())
 
 
 # -- block-wise reading and writing against the per-line implementations ------
