@@ -10,17 +10,23 @@ inputs produce identical bytes.
 A file is read once as bytes.  When every value has the fixed-point form
 the writers print (``-?\\d{1,6}\\.\\d{9}`` for predictions, up to 18 digits
 for labels), one numpy kernel parses it from the bytes in blocks of about
-``CHUNK_ELEMENTS`` values with exact integer digit arithmetic, giving the
-same bits as ``float``.  The kernel finds a block's cells in one of two
-ways.  A block whose lines share one byte layout (one length, the same
-comma columns and one cell width, as in the files clskit writes with
-zero-padded ids) is a 2-D view of the bytes, and its cells are strided
-views of that; any other block is scanned for its delimiters and its cells
-gathered.  Either way each cell sits in a window as wide as the block's
-widest cell plus a sign slot, and one tail checks and parses the windows.
-Any other file, such as a value in another float syntax, goes to the
-general path: it is read line by line, each cell parsed with ``float`` (or
-``int``), and its first bad line raises the error.
+``CHUNK_ELEMENTS`` values, giving the same bits as ``float``.  The kernel
+finds a block's cells in one of two ways.  A block whose lines share one
+byte layout (one length, the same comma columns and one cell width, as in
+the files clskit writes with zero-padded ids) is a 2-D view of the bytes,
+and its cells are strided views of that; any other block is scanned for
+its delimiters and its cells gathered.  Either way each cell sits in a
+window as wide as the block's widest cell plus a sign slot, and one tail
+checks the windows and turns their digits into integers with one float64
+place-value product, exact below 2**53: each column of the place values
+spans at most 15 digits, and a label of 16-18 digits adds its two columns
+in int64.  Ids must not repeat.  When every block is a view and the ids,
+as bytes, rise strictly from line to line (one vectorized comparison of
+neighbours per block), they are distinct; only otherwise does a ``set`` of
+the ids look for a repeat.  Any other file, such as a value in another
+float syntax, goes to the general path: it is read line by line, each cell
+parsed with ``float`` (or ``int``), and its first bad line raises the
+error.
 Predictions are written in blocks of about ``CHUNK_ELEMENTS`` values, and
 each block is the mirror image of the reader's kernel: the printed units of
 every value come from one batched rounding (in Python ints when int64 sums
@@ -60,6 +66,7 @@ from .schedule import (
 from .trainer import FeatureDataset, TrainConfig, synth_dataset
 
 _UNIT = 10**9  # one printed decimal unit: 9 fixed decimals
+_DOT_DIGITS = 15  # digit slots per place-value column: 10**15 < 2**53
 _LABEL = re.compile(r"[+-]?\d+")
 
 
@@ -150,8 +157,10 @@ def _emit(ids: list[str], units: np.ndarray) -> np.ndarray:
     region as wide as the longest, then per cell a sign slot (when the block
     has a negative value), the integer digits right-aligned in as many slots
     as the block's widest value needs, the point, 9 decimals, and ``,`` or
-    ``\\n``.  The slots a row does not use are then dropped by one
-    boolean mask.  A block whose id padding would outweigh its cells is
+    ``\\n``.  The slots a row does not use, leading digit slots before a
+    cell's first nonzero digit among them, are then dropped by one boolean
+    mask.  Every digit pass works on int64: Python ints are peeled into it 18
+    digits at a time.  A block whose id padding would outweigh its cells is
     emitted in halves.
     """
     rows, num_classes = units.shape
@@ -187,12 +196,16 @@ def _emit(ids: list[str], units: np.ndarray) -> np.ndarray:
     for k, group in enumerate((millions, thousands - 1000 * millions, fraction - 1000 * thousands)):
         # the last store's spare byte lands in the delimiter slot, written below
         slots(point + 1 + 3 * k, "<u4")[...] = np.take(_GROUPS, group)
-    rest = whole
-    for k in range(point - 1, signed, -1):
-        quotient = rest // 10
-        np.add(rest - 10 * quotient, ord("0"), out=slots(k), casting="unsafe")
-        rest = quotient
-    np.add(rest, ord("0"), out=slots(signed), casting="unsafe")
+    rest = high = whole
+    for i, k in enumerate(range(point - 1, signed - 1, -1)):  # digits from the right
+        if whole.dtype == object and i % 18 == 0:  # Python ints: the next 18 digits in int64
+            rest = (high % 10**18).astype(np.int64)
+            high = high // 10**18
+        digit = rest
+        if k > signed:  # the leading slot takes what is left, a digit
+            rest = rest // 10
+            digit = digit - 10 * rest
+        np.add(digit, ord("0"), out=slots(k), casting="unsafe")
     slots(point)[...] = ord(".")
     slots(cell - 1)[...] = ord(",")
     buf[:, -1] = ord("\n")
@@ -205,8 +218,10 @@ def _emit(ids: list[str], units: np.ndarray) -> np.ndarray:
     cells = keep[:, lead:].reshape(rows, num_classes, cell)
     if signed:
         cells[:, :, 0] = negative
-    for k in range(signed, point - 1):  # leading digit slots: kept where the value reaches them
-        cells[:, :, k] = whole >= 10 ** (point - 1 - k)
+    for k in range(signed, point - 1):  # leading digit slots: kept from the first nonzero digit on
+        np.not_equal(slots(k), ord("0"), out=cells[:, :, k])
+        if k > signed:
+            cells[:, :, k] |= cells[:, :, k - 1]
     return buf.reshape(-1) if keep.all() else buf[keep]
 
 
@@ -262,15 +277,27 @@ def _read_head(path: str) -> tuple[bytes, str]:
 @functools.cache
 def _cell_layout(digits: int, decimals: int):
     """The byte slots of a window that holds a sign slot and the cell
-    ``\\d{digits}(\\.\\d{decimals})?``: the point's slot, each slot's int64
-    place value, and the masks that keep a cell's digit slots."""
+    ``\\d{digits}(\\.\\d{decimals})?``: the point's slot, the float64
+    place-value matrix, and the masks that keep a cell's digit slots.
+
+    The matrix has a row per slot and a column per group of
+    :data:`_DOT_DIGITS` digit slots, counted from the right: column ``k``
+    holds the place values of group ``k`` in units of ``10 ** (15 * k)``,
+    and 0 in every other slot.  A window of digits times a column is then
+    an integer below ``10**15``: the float64 place-value product is exact
+    below 2**53, in any summation order and on any BLAS thread count.  A
+    prediction cell (6 + 9 digits) needs one column; only a label of 16-18
+    digits needs a second."""
     fraction = decimals + 1 if decimals else 0
     width = 1 + digits + fraction  # sign slot, integer digits, point and decimals
     point = width - fraction  # integer digits sit in slots 1 .. point - 1
     slots = np.arange(width)
     digit_slot = (slots > 0) & (slots != point)
     # a digit's place value is 10 ** (the digit slots to its right)
-    place = np.where(digit_slot, 10 ** (np.cumsum(digit_slot[::-1])[::-1] - 1), 0)
+    exponent = np.cumsum(digit_slot[::-1])[::-1] - 1
+    column = np.where(digit_slot, exponent // _DOT_DIGITS, -1)
+    columns = np.arange(math.ceil((digits + decimals) / _DOT_DIGITS))
+    place = np.where(column[:, None] == columns, 10.0 ** (exponent % _DOT_DIGITS)[:, None], 0.0)
     # Row f keeps the digit slots of a cell whose first digit is in slot f.
     # It and every window of :func:`_scanned_cells` are single
     # ``width``-byte items, so a gather copies whole windows.
@@ -281,13 +308,14 @@ def _cell_layout(digits: int, decimals: int):
 
 
 def _one_layout_cells(data: bytes, start: int, stop: int, values_per_row: int):
-    """Ids, cell windows, first-digit slots and signs of the lines
+    """Ids, cell windows, first-digit slots, signs and id bytes of the lines
     ``data[start:stop]`` when every line has the first line's byte length,
     comma columns and one cell width, else None.
 
     The lines are then a ``(rows, length)`` view of the bytes, and the
     windows, each cell with the comma before it, a strided view of that:
     only the newline column, the comma columns and the ids are checked here.
+    The id bytes are a strided view too, one ``S{id length}`` item per line.
     """
     end = data.find(b"\n", start, stop)
     id_len = data.find(b",", start, end) - start
@@ -306,16 +334,17 @@ def _one_layout_cells(data: bytes, start: int, stop: int, values_per_row: int):
     # An unsigned cell has its first digit in slot 1, so without signs the
     # first line's slots serve every line and its keep masks are broadcast.
     first = 1 + (negative if negative.any() else negative[0])
-    return heads.decode("utf-8").split(",")[:-1], windows, first, negative
+    names = np.ndarray((len(lines),), f"S{id_len}", data, offset=start, strides=(length,))
+    return heads.decode("utf-8").split(",")[:-1], windows, first, negative, names
 
 
 def _scanned_cells(data: bytes, start: int, stop: int, values_per_row: int, limit: int):
-    """What :func:`_one_layout_cells` gives, for lines of any layout: a scan
-    for every ``,`` and ``\\n`` finds the cells, and each cell's window, as
-    wide as the block's widest cell (capped at ``limit`` bytes) plus a sign
-    slot, is gathered from the bytes up to its delimiter.  None when a line
-    has another comma count, the last line has no newline, or an id is
-    empty."""
+    """What :func:`_one_layout_cells` gives, but no id bytes, for lines of
+    any layout: a scan for every ``,`` and ``\\n`` finds the cells, and each
+    cell's window, as wide as the block's widest cell (capped at ``limit``
+    bytes) plus a sign slot, is gathered from the bytes up to its delimiter.
+    None when a line has another comma count, the last line has no newline,
+    or an id is empty."""
     # ``limit`` bytes of padding in front keep every window inside the block.
     block = np.zeros(limit + stop - start, np.uint8)
     block[limit:] = np.frombuffer(data, np.uint8, stop - start, start)
@@ -342,7 +371,8 @@ def _scanned_cells(data: bytes, start: int, stop: int, values_per_row: int, limi
     windows = np.ndarray((block.size - width + 1,), f"V{width}", block, strides=(1,))
     negative = block[starts] == ord("-")
     first = width - (ends - starts) + negative  # slot of each cell's first digit
-    return block_ids, windows[ends - width].view(np.uint8).reshape(-1, width), first, negative
+    cells = windows[ends - width].view(np.uint8).reshape(-1, width)
+    return block_ids, cells, first, negative, None
 
 
 def _fixed_point_rows(data: bytes, start: int, values_per_row: int, digits: int, decimals: int):
@@ -359,13 +389,21 @@ def _fixed_point_rows(data: bytes, start: int, values_per_row: int, digits: int,
     one layout is a 2-D view whose windows are strided views
     (:func:`_one_layout_cells`); any other block is scanned for its
     delimiters and its windows gathered (:func:`_scanned_cells`).  Each
-    window is then checked slot by slot and dotted with an int64
-    place-value vector, exact for up to 18 digits.
+    window is then checked slot by slot, and the windows, cast to float64,
+    times the place-value matrix of :func:`_cell_layout` give the
+    magnitudes: float64 for cells of at most :data:`_DOT_DIGITS` digits,
+    else int64 sums of the matrix's columns.
+
+    Ids that rise strictly as bytes are distinct, so a set of the ids looks
+    for a repeat only when some block is scanned, or when the ids of a view
+    do not rise from line to line and from the block before.
     """
     fraction = decimals + 1 if decimals else 0
     limit = 1 + digits + fraction  # the widest cell: a sign, digits, point and decimals
+    wide = digits + decimals > _DOT_DIGITS  # a magnitude may pass 2**53
     ids: list[str] = []
     magnitudes, signs = [], []
+    ordered, last = True, b""
     while start < len(data):
         # whole lines; a last line without its newline fails the delimiter test
         span = start + CHUNK_ELEMENTS * limit
@@ -374,7 +412,7 @@ def _fixed_point_rows(data: bytes, start: int, values_per_row: int, digits: int,
                  or _scanned_cells(data, start, stop, values_per_row, limit))
         if found is None:
             return None
-        block_ids, windows, first, negative = found
+        block_ids, windows, first, negative, names = found
         width = windows.shape[-1]
         if not fraction < width - 1 <= limit:
             return None
@@ -392,11 +430,19 @@ def _fixed_point_rows(data: bytes, start: int, values_per_row: int, digits: int,
         if cells.max() >= 10:
             return None
         ids.extend(block_ids)
-        # casts in small buffers
-        magnitudes.append(np.einsum("ij,j->i", cells.reshape(-1, width), place))
+        sums = cells.reshape(-1, width).astype(np.float64) @ place
+        if wide:  # column k counts units of 10 ** (15 * k)
+            magnitudes.append(sums.astype(np.int64) @ 10 ** (_DOT_DIGITS * np.arange(sums.shape[1])))
+        else:  # a second column has only the slot of a sign, which is never a digit
+            magnitudes.append(sums[:, 0])
         signs.append(negative.ravel())
+        # ``S`` items of one length compare as their bytes
+        ordered = (ordered and names is not None and last < names[:1].tobytes()
+                   and bool((names[1:] > names[:-1]).all()))
+        if ordered:
+            last = names[-1:].tobytes()
         start = stop
-    if len(set(ids)) < len(ids):
+    if not ordered and len(set(ids)) < len(ids):
         return None
     return ids, np.concatenate(magnitudes), np.concatenate(signs)
 
@@ -462,11 +508,10 @@ def read_predictions(path: str) -> tuple[list[str], np.ndarray]:
     if fixed is None:
         ids, values = _read_lines(path, data, num_classes + 1, _parse_number)
         return ids, np.array(values).reshape(len(ids), num_classes)
-    # With at most 15 digits every magnitude is an integer below 2**53, exact
-    # in float64, so one correctly rounded division gives float()'s bits,
-    # -0.0 included.
-    ids, magnitudes, negative = fixed
-    values = magnitudes / _UNIT
+    # With at most 15 digits every magnitude is a float64 integer below 2**53,
+    # so one correctly rounded division gives float()'s bits, -0.0 included.
+    ids, values, negative = fixed
+    values /= _UNIT
     np.negative(values, out=values, where=negative)
     return ids, values.reshape(len(ids), num_classes)
 
@@ -646,7 +691,10 @@ def load_manifest(path: str) -> EnsembleManifest:
 def write_manifest(path: str, member_paths: list[str], weights: list[float], score_type: str) -> None:
     """Write a manifest; member paths are stored relative to the manifest's
     directory when possible so the file is relocatable.  A manifest that
-    :class:`EnsembleManifest` rejects is not written."""
+    :class:`EnsembleManifest` rejects is not written, nor one with a weight
+    count other than its path count."""
+    if len(member_paths) != len(weights):
+        raise ValueError(f"{len(member_paths)} member paths for {len(weights)} weights")
     base = os.path.dirname(os.path.abspath(path))
     members = []
     for member_path, weight in zip(member_paths, weights):

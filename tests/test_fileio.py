@@ -276,6 +276,16 @@ def test_write_manifest_rejects_bad_score_type(tmp_path):
         write_manifest(str(tmp_path / "m.json"), ["a", "b"], [0.5, 0.5], "energy")
 
 
+def test_write_manifest_rejects_paths_and_weights_of_unequal_counts(tmp_path):
+    path = tmp_path / "m.json"
+    for paths, weights in [(["a.csv", "b.csv", "c.csv"], [0.5, 0.5]),
+                           (["a.csv", "b.csv"], [0.25, 0.25, 0.5])]:
+        message = f"^{len(paths)} member paths for {len(weights)} weights$"
+        with pytest.raises(ValueError, match=message):
+            write_manifest(str(path), paths, weights, "prob")
+        assert not path.exists()
+
+
 def test_json_nested_past_the_recursion_limit_is_a_value_error_naming_the_file(tmp_path):
     path = tmp_path / "deep.json"
     for text in ["[" * 100_000, '{"members": ' + "[" * 100_000 + "]" * 100_000 + "}"]:
@@ -678,6 +688,71 @@ def test_read_labels_of_one_layout_text_matches_line_by_line_reader(scratch_csv,
     for chunk in CHUNKS:
         with mock.patch.object(fileio, "CHUNK_ELEMENTS", chunk):
             assert outcome(read_labels, scratch_csv) == expected
+
+
+@st.composite
+def id_order_files(draw, values_per_row, header, cell_kinds):
+    """Files of fixed-point cells of one kind whose ids come in groups: a
+    group's ids share a first letter, which rises from group to group, and
+    one byte length, which changes from group to group, so sorted ids give
+    one-layout blocks of different id widths.  The ids run ascending (as
+    bytes), descending or shuffled; an id may have a twin with a trailing
+    ``\\x00``, and a repeat may follow its twin, within a block or across a
+    block boundary."""
+    ids = []
+    for letter in "abcd"[:draw(st.integers(1, 4))]:
+        # each alphabet's characters share one UTF-8 length: 1, 2 or 3 bytes
+        alphabet = draw(st.sampled_from(["0\x00", "\x7f1", "\xe9\xff", "名"]))
+        tail = draw(st.integers(0, 3))
+        ids += [letter + text for text in draw(st.lists(
+            st.text(alphabet, min_size=tail, max_size=tail), min_size=1, max_size=6, unique=True))]
+    if draw(st.booleans()):
+        ids.append(draw(st.sampled_from(ids)) + "\x00")
+    ids.sort(key=lambda sample_id: sample_id.encode("utf-8"))
+    order = draw(st.sampled_from(["ascending", "descending", "shuffled"]))
+    if order == "descending":
+        ids.reverse()
+    elif order == "shuffled":
+        ids = draw(st.permutations(ids))
+    if draw(st.booleans()):  # a repeat right after its twin
+        at = draw(st.integers(0, len(ids) - 1))
+        ids.insert(at + 1, ids[at])
+    cells = draw(cell_kinds)
+    return header + "".join(
+        ",".join([sample_id, *(draw(cells) for _ in range(values_per_row))]) + "\n"
+        for sample_id in ids)
+
+
+# one integer digit, or 15 digits in all, unsigned or with signs (whose cells
+# then differ in width); labels of up to 18 digits
+prediction_cell_kinds = st.sampled_from([
+    st.builds("{}.{}".format, digits(1, 1), digits(9, 9)),
+    st.builds("{}.{}".format, digits(6, 6), digits(9, 9)),
+    st.builds("{}{}.{}".format, st.sampled_from(["", "-"]), digits(6, 6), digits(9, 9)),
+])
+label_cell_kinds = st.sampled_from([digits(size, size) for size in (1, 2, 15, 16, 17, 18)])
+
+
+@settings(max_examples=200)
+@given(text=st.one_of(
+    st.integers(2, 3).flatmap(lambda c: id_order_files(
+        c, "id," + ",".join(f"c{j}" for j in range(c)) + "\n", prediction_cell_kinds)),
+    id_order_files(1, "id,label\n", label_cell_kinds)))
+def test_ordered_shuffled_and_repeated_ids_read_as_the_line_reader_reads_them(scratch_csv, text):
+    # 15-digit prediction cells and 16-18-digit labels take every place-value
+    # column; chunk 1 makes each line its own block, so a repeat right after
+    # its twin is then across a block boundary
+    with open(scratch_csv, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
+    read, oracle = ((read_labels, oracle_read_labels) if text.startswith("id,label\n")
+                    else (read_predictions, oracle_read_predictions))
+    expected = outcome(oracle, scratch_csv)
+    for chunk in CHUNKS:
+        with mock.patch.object(fileio, "CHUNK_ELEMENTS", chunk), \
+                mock.patch.object(fileio, "_read_lines", wraps=fileio._read_lines) as general:
+            assert outcome(read, scratch_csv) == expected
+        # every cell is fixed-point text: only a repeated id is left to the line reader
+        assert general.call_count == (expected[0] == "error")
 
 
 def test_ids_that_outgrow_their_width_mid_file_read_as_the_line_reader_reads_them(tmp_path):
