@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -36,6 +37,7 @@ from .schedule import (
 from .trainer import predict, train
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="clskit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -99,10 +99,12 @@ def _atomic_write(path: str):
 
 
 def _check_ids(ids: list[str]) -> None:
-    """Raise naming the first of ``ids`` that is empty, has a comma or
-    repeats.  Batched string operations and a sort, which finds repeats in
-    a fraction of a set's memory, check them first."""
-    if "" not in ids and "," not in "".join(ids):
+    """Raise naming the first of ``ids`` that is empty, has a comma or a
+    newline (either would split its line when read back) or repeats.
+    Batched string operations and a sort, which finds repeats in a fraction
+    of a set's memory, check them first."""
+    joined = "".join(ids)
+    if "" not in ids and "," not in joined and "\n" not in joined:
         order = sorted(ids)
         if all(map(str.__ne__, order, order[1:])):
             return
@@ -110,6 +112,8 @@ def _check_ids(ids: list[str]) -> None:
     for sample_id in ids:
         if not sample_id or "," in sample_id:
             raise ValueError(f"sample id must be non-empty and comma-free, got {sample_id!r}")
+        if "\n" in sample_id:
+            raise ValueError(f"sample id must not contain a newline, got {sample_id!r}")
         if sample_id in seen:
             raise ValueError(f"duplicate sample id {sample_id!r}")
         seen.add(sample_id)

@@ -21,12 +21,14 @@ small instances match a brute-force oracle exactly and no bit depends on
 the Python version, whose builtin ``sum`` compensates from 3.12 on.
 
 mAP and mAUC share one ranking per class: an unstable sort of the class's
-scores whose runs of equal values are then put in ascending sample order,
-which is the stable sort's permutation.  AP reads the positives' ranks from
-it, and AUC its integer win and tie counts from the runs, so both take
-O(n log n) time and O(n) memory per class.  The rankings also take a stack
-of ``(..., n, C)`` scores, one ranking per (point, class) row, so a weight
-sweep scores a chunk of fused points with one call.
+scores, after which only the runs of equal values get a second sort, into
+ascending sample order, which gives the stable sort's permutation.  AP reads
+the positives' ranks from it, and AUC its integer win and tie counts from
+the runs, so both take O(n log n) time and O(n) memory per class.  The
+rankings also take a stack of ``(..., n, C)`` scores, one ranking per
+(point, class) row, so a weight sweep scores a chunk of fused points with
+one call.  The true class's rank behind top-k and mean class accuracy is
+counted on class-major blocks of the scores, along the sample axis.
 """
 
 from __future__ import annotations
@@ -79,11 +81,25 @@ class MetricReport:
 def _true_class_rank(scores: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Rank of the true class in each row of ``(..., n, C)`` scores: the
     number of classes that score strictly higher or tie it with a lower
-    index."""
+    index.  The rows are copied class-major in blocks of at most
+    ``CHUNK_ELEMENTS`` scores (one row at the least), so each comparison
+    and each count runs along the sample axis, in the smallest unsigned
+    type that holds every label and every count."""
     n, num_classes = scores.shape[-2:]
-    target = scores[..., np.arange(n), y][..., None]
-    ahead = (scores > target) | ((scores == target) & (np.arange(num_classes) < y[:, None]))
-    return np.count_nonzero(ahead, axis=-1)
+    flat = scores.reshape(-1, num_classes)
+    small = np.min_scalar_type(num_classes)
+    labels = np.broadcast_to(y.astype(small), scores.shape[:-1]).reshape(-1)
+    targets = flat[np.arange(len(flat)), labels]
+    lower = np.arange(num_classes, dtype=small)[:, None]
+    rank = np.empty(len(flat), dtype=np.intp)
+    step = max(1, CHUNK_ELEMENTS // num_classes)
+    for start in range(0, len(flat), step):
+        rows = slice(start, start + step)
+        block = flat[rows].T.copy()  # (C, rows)
+        ahead = block > targets[rows]
+        ahead |= (block == targets[rows]) & (lower < labels[rows])
+        rank[rows] = ahead.sum(axis=0, dtype=small)
+    return rank.reshape(scores.shape[:-1])
 
 
 def _topk_rows(scores: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
@@ -101,11 +117,10 @@ def _topk_hits(scores: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
 def _class_accuracy(hits: np.ndarray, y: np.ndarray, num_classes: int) -> np.ndarray:
     """Mean over the classes present in ``y`` of the share of their rows that
     ``(..., n)`` hit masks mark: each recall is a ratio of exact integer
-    counts (sums of ones, exact in floats), and the recalls are summed in
-    class order, one after another."""
+    counts, and the recalls are summed in class order, one after another."""
     totals = np.bincount(y, minlength=num_classes)
     present = np.flatnonzero(totals)
-    correct = hits @ (y[:, None] == present).astype(float)
+    correct = np.count_nonzero(hits[..., None, :] & (y == present[:, None]), axis=-1)
     return np.cumsum(correct / totals[present], axis=-1)[..., -1] / present.size
 
 
@@ -138,8 +153,9 @@ def _class_order(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     where a run of equal scores starts, then ``B * n``.
 
     One unstable sort ranks each row; equal values (signed zeros among them)
-    form runs, and one more unstable sort of the unique keys
-    ``run * n + index`` puts each run's indices in ascending order.
+    form runs.  Only the positions in runs of two or more get a second sort:
+    one unstable sort of their unique keys ``run * n + index`` puts each such
+    run's indices in ascending order.
     """
     rows, n = block.shape
     negated = np.negative(block, order="C")
@@ -147,11 +163,10 @@ def _class_order(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ranked = negated.ravel()[order + np.arange(0, rows * n, n)[:, None]]  # sorted values
     starts = np.ones(rows * n + 1, dtype=bool)
     np.not_equal(ranked[:, 1:], ranked[:, :-1], out=starts[:-1].reshape(rows, n)[:, 1:])
-    bounds = np.flatnonzero(starts)
-    if bounds.size <= rows * n:  # some run holds a tie
-        run_base = (np.cumsum(starts[:-1]).reshape(rows, n) - 1) * n
-        order = np.sort(run_base + order, axis=-1) - run_base
-    return order, bounds
+    tied = np.flatnonzero(~(starts[:-1] & starts[1:]))  # positions in runs of >= 2
+    run_base = np.cumsum(starts[tied]) * n
+    np.put(order, tied, np.sort(run_base + order.take(tied)) - run_base)
+    return order, np.flatnonzero(starts)
 
 
 def _ranked_blocks(
@@ -272,11 +287,12 @@ def full_report(preds: np.ndarray, labels: np.ndarray) -> MetricReport:
     n, num_classes = scores.shape
     y = check_labels(labels, n, num_classes)
     rank = _true_class_rank(scores, y)
+    top1_hits = rank == 0
     mean_ap, mean_roc_auc = _ranking_means(scores, y, "map", "mauc")
     return MetricReport(
-        top1=int(np.count_nonzero(rank == 0)) / n,
+        top1=int(np.count_nonzero(top1_hits)) / n,
         top5=int(np.count_nonzero(rank < min(5, num_classes))) / n,
-        mca=float(_class_accuracy(rank == 0, y, num_classes)),
+        mca=float(_class_accuracy(top1_hits, y, num_classes)),
         map=float(mean_ap),
         mauc=float(mean_roc_auc),
     )

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clskit import fileio
+from clskit import cli, fileio
 from clskit.cli import main
 from clskit.ensemble import OBJECTIVES, SCORE_TYPES
 from clskit.fileio import read_predictions, write_labels, write_predictions
@@ -543,6 +543,37 @@ def test_missing_required_flag_exits_2(capsys):
 
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
+
+
+def test_back_to_back_calls_share_no_parser_state(tmp_path, capsys):
+    # one parser serves every call in a process; no flag carries over
+    preds, labels = eight_sample_files(tmp_path)
+    other = str(tmp_path / "other.csv")
+    write_predictions(other, [f"s{i}" for i in range(8)], EIGHT_SAMPLE_SCORES[::-1])
+    assert main(["eval", "--preds", preds, "--labels", labels, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == EIGHT_SAMPLE_REPORT
+    assert main(["eval", "--preds", preds, "--labels", labels]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "top1    62.50"
+    sweep = ["sweep", "--preds", preds, "--preds", other, "--labels", labels,
+             "--resolution", "4", "--json"]
+    assert main(sweep + ["--objective", "map"]) == 0
+    assert json.loads(capsys.readouterr().out)["objective"] == "map"
+    assert main(sweep) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert result["objective"] == "top1" and len(result["weights"]) == 2
+    assert main(["eval", "--preds", preds]) == 2
+    assert main(["eval", "--preds", preds, "--labels", labels, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == EIGHT_SAMPLE_REPORT
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"], ["eval", "--help"]])
+def test_help_is_the_same_bytes_on_every_call(argv, capsys):
+    with pytest.raises(SystemExit):
+        cli._build_parser.__wrapped__().parse_args(argv)  # a parser of its own
+    expected = capsys.readouterr().out
+    for _ in range(2):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
 
 
 # -- fuzz: every input ends in exit 0 or 2 -------------------------------------

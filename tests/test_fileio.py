@@ -86,6 +86,17 @@ def test_write_predictions_validation(tmp_path):
         write_predictions(path, ["a", "a"], np.tile(m, (2, 1)))  # duplicate
 
 
+def test_write_predictions_rejects_an_id_with_a_newline(tmp_path):
+    # the reader would split the id's row in two and reject the file
+    path = tmp_path / "x.csv"
+    with pytest.raises(ValueError, match=r"^sample id must not contain a newline, got 'a\\nb'$"):
+        write_predictions(str(path), ["c", "a\nb"], np.full((2, 2), 0.5))
+    assert not path.exists()
+    for bad in ["", "a,\nb"]:  # empty and comma ids keep their message
+        with pytest.raises(ValueError, match="^sample id must be non-empty and comma-free"):
+            write_predictions(str(path), ["c", bad], np.full((2, 2), 0.5))
+
+
 def test_read_predictions_errors_carry_line_numbers(tmp_path):
     path = tmp_path / "bad.csv"
 
@@ -137,6 +148,13 @@ def test_read_labels_errors(tmp_path):
 def test_write_labels_rejects_negative(tmp_path):
     with pytest.raises(ValueError):
         write_labels(str(tmp_path / "x.csv"), ["a"], np.array([-1]))
+
+
+def test_write_labels_rejects_an_id_with_a_newline(tmp_path):
+    path = tmp_path / "x.csv"
+    with pytest.raises(ValueError, match=r"^sample id must not contain a newline, got 'a\\nb'$"):
+        write_labels(str(path), ["a\nb", "c"], np.array([0, 1]))
+    assert not path.exists()
 
 
 # -- run configs -------------------------------------------------------------

@@ -8,16 +8,18 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from oracles import compensated_sum, ordered_sum
 
 from clskit import metrics
 from clskit.metrics import (
     MetricReport,
+    _class_accuracy,
     _class_order,
     _ranking_means,
     _topk_hits,
+    _topk_rows,
     full_report,
     mean_auc,
     mean_average_precision,
@@ -209,7 +211,19 @@ def tie_heavy_blocks(draw):
     return np.array(draw(values)).reshape(rows, n)
 
 
+def one_tied_pair(n):
+    # n distinct scores in shuffled order, but for one pair of equal ones
+    row = np.random.default_rng(17).permutation(n) / n
+    row[n // 3] = row[n // 2]
+    return row[None, :]
+
+
 @given(tie_heavy_blocks())
+@example(one_tied_pair(5000))
+# a run ends a row, and its value starts the next
+@example(np.array([[1.0, 0.5, 0.5], [0.5, 0.5, 0.2]]))
+@example(np.array([[0.3, 0.3, 0.3, 0.3]]))  # the whole row is one run
+@example(np.array([[0.0, 1.0, -0.0, 0.0, -0.0]]))  # signed zeros tie
 def test_class_order_is_the_stable_descending_sort(block):
     order, bounds = _class_order(block)
     stable = np.argsort(-block, axis=-1, kind="stable")
@@ -230,10 +244,26 @@ def tied_stacks(draw):
     decimals = draw(st.integers(0, 2))
     rounded = st.floats(-1.0, 1.0).map(lambda v: round(v, decimals))
     size = points * n * num_classes
-    values = draw(st.lists(st.one_of(rounded, st.sampled_from([0.0, -0.0])),
+    values = draw(st.lists(st.one_of(rounded, st.sampled_from([0.0, -0.0, 5e-324])),
                            min_size=size, max_size=size))
     labels = draw(st.lists(st.integers(0, num_classes - 1), min_size=n, max_size=n))
     return np.array(values).reshape(points, n, num_classes), np.array(labels)
+
+
+@given(tied_stacks(), st.integers(1, 60))
+def test_stacked_topk_and_class_accuracy_match_oracles_per_point(instance, chunk):
+    # class-major blocks of chunk // C rows start and end inside points as
+    # well as at their edges
+    stack, labels = instance
+    n, num_classes = stack.shape[1:]
+    with mock.patch.object(metrics, "CHUNK_ELEMENTS", chunk):
+        hits = {k: _topk_hits(stack, labels, k) for k in range(1, num_classes + 1)}
+        mca = _class_accuracy(_topk_rows(stack, labels, 1), labels, num_classes)
+    assert mca.shape == (len(stack),)
+    for point, scores in enumerate(stack):
+        for k, counts in hits.items():
+            assert counts[point] / n == oracle_topk(scores, labels, k)
+        assert mca[point] == oracle_mca(scores, labels)
 
 
 @given(tied_stacks(), st.integers(1, 60))
@@ -278,6 +308,19 @@ def test_map_heap_stays_linear_at_scale():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+def test_full_report_heap_stays_linear_at_scale():
+    rng = np.random.default_rng(16)
+    scores = np.round(rng.uniform(size=(20_000, 10)), 3)  # ties included
+    labels = rng.integers(0, 10, size=20_000)
+    tracemalloc.start()
+    try:
+        full_report(scores, labels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.25 * 2**20
 
 
 def test_mauc_heap_stays_linear_at_scale():
