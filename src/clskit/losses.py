@@ -17,8 +17,12 @@ Two reductions are provided: ``per_class_sum`` (all terms above) and
 ``target_only`` (just the target term, i.e. categorical cross entropy when
 ``eps = gamma = 0``).  Gradients with respect to pre-softmax logits are
 hand-derived; there is no autodiff here.  One batched kernel,
-:func:`loss_rows`, computes losses and gradients for a (B, C) matrix of
-samples; :func:`loss_value` and :func:`loss_grad` are its one-row calls.
+:func:`loss_kernel`, computes losses and gradients for a (B, C) matrix of
+samples from the factors that depend on the labels alone (the target
+mask, the weights and the signed weights, :func:`label_terms`), so a
+caller that meets the same labels again builds them once.
+:func:`loss_rows` is the kernel on freshly built factors, and
+:func:`loss_value` and :func:`loss_grad` are its one-row calls.
 """
 
 from __future__ import annotations
@@ -79,6 +83,30 @@ def smooth_labels(true_class: int, num_classes: int, epsilon: float) -> np.ndarr
     return out
 
 
+def label_terms(
+    labels: np.ndarray, num_classes: int, config: LossConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The factors of :func:`loss_rows` that depend on the labels alone.
+
+    Returns four (B, C) arrays for the true classes ``labels``: the boolean
+    target mask, the term weights ``w``, the signed weights ``du/dq * w``
+    (``-w_c`` on the target, ``w_i`` off it) and the signed weights times
+    gamma.  A caller that scores the same samples again, such as a training
+    epoch walking its shuffled rows, computes them once.
+    """
+    eps = config.epsilon
+    target = np.zeros((labels.shape[0], num_classes), dtype=bool)
+    target[np.arange(labels.shape[0]), labels] = True
+    # eps == 0 keeps unit weight on the off-target terms (the unsmoothed
+    # form); smoothing replaces it with the smoothed off-target mass.
+    off_w = eps / (num_classes - 1) if eps > 0.0 else 1.0
+    if config.form == "target_only":
+        off_w = 0.0
+    weight = np.where(target, 1.0 - eps, off_w)
+    signed_weight = np.where(target, -(1.0 - eps), off_w)
+    return target, weight, signed_weight, signed_weight * config.gamma
+
+
 def loss_rows(
     p: np.ndarray, labels: np.ndarray, config: LossConfig
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -91,18 +119,24 @@ def loss_rows(
     ``-w * u^gamma * l`` with focal base ``u`` = ``1 - q_c`` | ``q_i`` and
     log term ``l`` = ``log(q_c)`` | ``log1p(-q_i)`` (target | off-target), so
     ``dL/dq = du/dq * w * (u^gamma / (1 - u) - gamma * u^(gamma - 1) * l)``.
+    The label factors come from :func:`label_terms`; :func:`loss_kernel`
+    takes them precomputed.
     """
-    eps, gamma = config.epsilon, config.gamma
-    q = np.clip(p, config.clamp_floor, 1.0 - config.clamp_floor)
-    target = np.zeros(q.shape, dtype=bool)
-    target[np.arange(q.shape[0]), labels] = True
-    # eps == 0 keeps unit weight on the off-target terms (the unsmoothed
-    # form); smoothing replaces it with the smoothed off-target mass.
-    off_w = eps / (q.shape[1] - 1) if eps > 0.0 else 1.0
-    if config.form == "target_only":
-        off_w = 0.0
-    weight = np.where(target, 1.0 - eps, off_w)
-    signed_weight = np.where(target, -(1.0 - eps), off_w)  # du/dq * w
+    return loss_kernel(p, label_terms(labels, p.shape[1], config), config)
+
+
+def loss_kernel(
+    p: np.ndarray,
+    terms: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    config: LossConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`loss_rows` of the (B, C) probability rows ``p`` whose
+    :func:`label_terms` are ``terms``; the same operations on the same
+    operands, so the same bits."""
+    target, weight, signed_weight, signed_gamma = terms
+    gamma = config.gamma
+    # maximum then minimum: the bits of np.clip for finite p, with less overhead
+    q = np.minimum(np.maximum(p, config.clamp_floor), 1.0 - config.clamp_floor)
     complement = 1.0 - q
     base = np.where(target, complement, q)
     log_term = np.where(target, np.log(q), np.log1p(-q))
@@ -112,7 +146,7 @@ def loss_rows(
     # dL/dp; the focal-derivative term is exactly zero when gamma == 0.
     dldp = (signed_weight * focal) / np.where(target, q, complement)
     if gamma > 0.0:
-        dldp -= (signed_weight * gamma) * base ** (gamma - 1.0) * log_term
+        dldp -= signed_gamma * base ** (gamma - 1.0) * log_term
     # Chain through the softmax Jacobian: dL/dz_j = p_j * (d_j - <d, p>).
     inner = np.einsum("ij,ij->i", dldp, p)
     return values, p * (dldp - inner[:, None])

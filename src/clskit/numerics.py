@@ -63,7 +63,7 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     z = np.ascontiguousarray(logits, dtype=float)
     if z.ndim != 2 or z.shape[1] < 2:
         raise ValueError("logits must be a 2-D matrix with at least 2 columns")
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError("logits must be finite")
     shifted = z - z.max(axis=1, keepdims=True)
     e = np.exp(shifted)
@@ -106,10 +106,17 @@ def check_labels(labels: np.ndarray, n: int, num_classes: int) -> np.ndarray:
     if y.ndim != 1 or y.size != n:
         raise ValueError(f"labels must be a vector of length {n}")
     if not np.issubdtype(y.dtype, np.integer):
-        if not np.all(y == y.astype(int)):
+        try:
+            as_int = y.astype(int)
+        except OverflowError:  # an object array holding an int past int64
+            raise ValueError(f"labels must lie in [0, {num_classes})") from None
+        except (TypeError, ValueError):  # text or objects that are not numbers
+            raise ValueError("labels must be integers") from None
+        if not np.all(y == as_int):  # a fraction, or text parsed as a number
             raise ValueError("labels must be integers")
+        y = as_int
+    else:
         y = y.astype(int)
-    y = y.astype(int)
     if y.size and (y.min() < 0 or y.max() >= num_classes):
         raise ValueError(f"labels must lie in [0, {num_classes})")
     return y

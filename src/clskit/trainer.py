@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import LossConfig, loss_rows
+from .losses import LossConfig, label_terms, loss_kernel
 from .metrics import topk_accuracy
-from .numerics import CHUNK_ELEMENTS, make_rng, softmax, softmax_rows
+from .numerics import CHUNK_ELEMENTS, check_labels, make_rng, softmax, softmax_rows
 from .schedule import FreezePolicy, StepDecaySchedule, lr_at
 
 # Stream-key tags keeping dataset geometry, model init, and shuffles on
@@ -41,17 +41,14 @@ class FeatureDataset:
 
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=int)
         if self.features.ndim != 2 or self.features.shape[0] < 1:
             raise ValueError("features must be a non-empty 2-D matrix")
         if not np.all(np.isfinite(self.features)):
             raise ValueError("features must be finite")
         if self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.labels.shape != (self.features.shape[0],):
-            raise ValueError("labels must have one entry per feature row")
-        if self.labels.min() < 0 or self.labels.max() >= self.num_classes:
-            raise ValueError(f"labels must lie in [0, {self.num_classes})")
+        # integers in range: a fraction or a string is rejected, not cast
+        self.labels = check_labels(self.labels, self.features.shape[0], self.num_classes)
 
     @property
     def n(self) -> int:
@@ -198,8 +195,13 @@ def train(
 
     Per epoch: lr from the schedule, a seeded shuffle, sequential batch
     updates ``param -= lr * mean_gradient``, each batch one forward and one
-    backward pass over its rows.  With ``freeze=frozen`` the backbone array
-    is never touched, so it is bit-identical afterwards.
+    backward pass over its rows.  The shuffled rows go in blocks of whole
+    batches, at most ``CHUNK_ELEMENTS`` values per gathered array: a block
+    gathers its feature rows and its :func:`~clskit.losses.label_terms`
+    once, and each batch slices them, so the block size changes no bit.  A
+    diverged batch is named by its index from the start of the epoch.  With
+    ``freeze=frozen`` the backbone array is never touched, so it is
+    bit-identical afterwards.
     """
     if train_set.dims != val_set.dims:
         raise ValueError(f"train dims {train_set.dims} != val dims {val_set.dims}")
@@ -209,33 +211,42 @@ def train(
         )
     model = init_model(train_set.dims, train_set.num_classes, config.hidden_dim, config.seed)
     frozen = config.freeze is FreezePolicy.FROZEN
-    n = train_set.n
+    n, batch_size = train_set.n, config.batch_size
+    # whole batches per block, so that a block's gathered features and label
+    # terms hold at most CHUNK_ELEMENTS values each (one batch at least)
+    widest = max(train_set.dims, train_set.num_classes)
+    block = batch_size * max(1, CHUNK_ELEMENTS // (batch_size * widest))
     records = []
     for epoch in range(config.epochs):
         lr = lr_at(config.schedule, epoch)
         order = make_rng(_SHUFFLE_TAG, config.seed, epoch).permutation(n)
         loss_total = 0.0
-        for start in range(0, n, config.batch_size):
-            batch = order[start : start + config.batch_size]
-            x = train_set.features[batch]
-            hidden, logits = _layers(model, x)
-            try:
-                probs = softmax_rows(logits)
-            except ValueError as exc:  # diverged: say where
-                raise ValueError(
-                    f"epoch {epoch} batch {start // config.batch_size}: {exc}"
-                ) from None
-            losses, g_logits = loss_rows(probs, train_set.labels[batch], config.loss)
-            loss_total += float(losses.sum())
-            grad_backbone = None
-            if not frozen:
-                g_hidden = np.where(hidden > 0.0, g_logits @ model.head_weights, 0.0)
-                grad_backbone = g_hidden.T @ x
-            size = len(batch)
-            model.head_weights = model.head_weights - lr * ((g_logits.T @ hidden) / size)
-            model.head_bias = model.head_bias - lr * (g_logits.sum(axis=0) / size)
-            if grad_backbone is not None:
-                model.backbone = model.backbone - lr * (grad_backbone / size)
+        for block_start in range(0, n, block):
+            rows = order[block_start : block_start + block]
+            block_x = train_set.features[rows]
+            block_terms = label_terms(train_set.labels[rows], train_set.num_classes, config.loss)
+            for start in range(0, len(rows), batch_size):
+                stop = start + batch_size
+                x = block_x[start:stop]
+                hidden, logits = _layers(model, x)
+                try:
+                    probs = softmax_rows(logits)
+                except ValueError as exc:  # diverged: say where
+                    raise ValueError(
+                        f"epoch {epoch} batch {(block_start + start) // batch_size}: {exc}"
+                    ) from None
+                terms = tuple([t[start:stop] for t in block_terms])
+                losses, g_logits = loss_kernel(probs, terms, config.loss)
+                loss_total += float(losses.sum())
+                grad_backbone = None
+                if not frozen:
+                    g_hidden = np.where(hidden > 0.0, g_logits @ model.head_weights, 0.0)
+                    grad_backbone = g_hidden.T @ x
+                size = len(x)
+                model.head_weights = model.head_weights - lr * ((g_logits.T @ hidden) / size)
+                model.head_bias = model.head_bias - lr * (g_logits.sum(axis=0) / size)
+                if grad_backbone is not None:
+                    model.backbone = model.backbone - lr * (grad_backbone / size)
         try:
             val_probs = predict(model, val_set)
         except ValueError as exc:  # the epoch's last update diverged

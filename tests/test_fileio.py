@@ -1036,6 +1036,79 @@ def test_one_long_id_pads_only_its_own_row(tmp_path):
     assert path.read_bytes() == expected.encode("utf-8")
 
 
+@st.composite
+def writer_id_lists(draw):
+    """Id lists and whether to repeat an id across a block boundary: ids of one
+    UTF-8 byte length in rising, falling or shuffled order, ids of unequal
+    byte lengths, one id made empty or given a comma or a newline in its
+    last character, and twins that differ only by a trailing ``\\x00``."""
+    rows = draw(st.integers(1, 12))
+    prefix = draw(st.sampled_from(["r", "é", "日", "🎧"]))
+    ids = [f"{prefix}{i:02d}" for i in range(rows)]
+    order = draw(st.sampled_from(["rising", "falling", "shuffled"]))
+    if order == "falling":
+        ids.reverse()
+    elif order == "shuffled":
+        ids = draw(st.permutations(ids))
+    kind = draw(st.sampled_from(["fresh", "unequal", "repeat", "bad", "twins"]))
+    if kind == "unequal":
+        ids = draw(st.lists(sample_ids, min_size=rows, max_size=rows, unique=True))
+    elif kind == "bad":
+        k = draw(st.integers(0, rows - 1))
+        ids[k] = draw(st.sampled_from(["", ids[k][:-1] + ",", ids[k][:-1] + "\n"]))
+    elif kind == "twins":
+        k = draw(st.integers(0, rows - 1))
+        ids.insert(k + draw(st.integers(0, 1)), ids[k] + "\x00")
+    return ids, kind == "repeat"
+
+
+def oracle_id_error(ids):
+    """The message naming the first bad id of ``ids``, checked one at a time
+    against the ids before it, or None when every id is fine."""
+    for k, sample_id in enumerate(ids):
+        if not sample_id or "," in sample_id:
+            return f"sample id must be non-empty and comma-free, got {sample_id!r}"
+        if "\n" in sample_id:
+            return f"sample id must not contain a newline, got {sample_id!r}"
+        if sample_id in ids[:k]:
+            return f"duplicate sample id {sample_id!r}"
+    return None
+
+
+@settings(max_examples=200)
+@given(case=writer_id_lists())
+def test_writers_check_ids_as_the_per_id_rule_does(scratch_csv, case):
+    # Both writers either raise the per-id rule's message for the first bad
+    # id, leaving no file, or write the per-row oracle's bytes.
+    for chunk in CHUNKS:
+        ids = list(case[0])
+        if case[1] and len(ids) > 1:  # the first block's last id opens the next block
+            boundary = min(max(1, chunk // 2), len(ids) - 1)
+            ids[boundary] = ids[boundary - 1]
+        matrix = np.tile([0.25, 0.75], (len(ids), 1))
+        labels = np.arange(len(ids)) % 3
+        error = oracle_id_error(ids)
+        writes = [
+            (lambda: write_predictions(scratch_csv, ids, matrix), "id,c0,c1\n" + "".join(
+                i + "," + ",".join(oracle_format_row(row)) + "\n" for i, row in zip(ids, matrix))),
+            (lambda: write_labels(scratch_csv, ids, labels), "id,label\n" + "".join(
+                f"{i},{label}\n" for i, label in zip(ids, labels))),
+        ]
+        for write, expected in writes:
+            if os.path.exists(scratch_csv):
+                os.remove(scratch_csv)
+            with mock.patch.object(fileio, "CHUNK_ELEMENTS", chunk):
+                if error is not None:
+                    with pytest.raises(ValueError) as info:
+                        write()
+                    assert str(info.value) == error
+                    assert not os.path.exists(scratch_csv)
+                else:
+                    write()
+                    with open(scratch_csv, "rb") as handle:
+                        assert handle.read() == expected.encode("utf-8")
+
+
 def test_write_predictions_rejects_values_too_large_to_print(tmp_path):
     path = tmp_path / "o.csv"
     with pytest.raises(ValueError, match="value 1e\\+300 is too large"):

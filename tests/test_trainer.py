@@ -91,6 +91,20 @@ def test_feature_dataset_validation():
         FeatureDataset(np.full((2, 2), np.nan), np.array([0, 1]), 2)
 
 
+@pytest.mark.parametrize("labels, message", [
+    ([0.0, 1.7, 2.9], "labels must be integers"),  # was truncated to [0, 1, 2]
+    (np.array(["0", "1", "2"]), "labels must be integers"),  # was parsed to [0, 1, 2]
+    (np.array(["a", "b", "c"]), "labels must be integers"),  # was numpy's int() parse error
+    (np.array([0, 1, None], dtype=object), "labels must be integers"),  # was a TypeError
+    (np.array([0, 1, 2**70], dtype=object), r"labels must lie in \[0, 3\)"),  # was OverflowError
+])
+def test_feature_dataset_rejects_labels_that_are_not_integers_in_range(labels, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        FeatureDataset(np.zeros((3, 2)), labels, 3)
+    # integral floats are integers, as check_labels takes them
+    assert FeatureDataset(np.zeros((3, 2)), [0.0, 1.0, 2.0], 3).labels.tolist() == [0, 1, 2]
+
+
 # -- model ----------------------------------------------------------------
 
 def test_init_model_zero_head_uniform_predictions():
@@ -171,6 +185,28 @@ def test_divergence_names_epoch_and_batch(monkeypatch):
     with pytest.raises(ValueError) as info:
         train(tr, va, recipe_config(epochs=3))
     assert str(info.value) == "epoch 1 batch 2: logits must be finite"
+
+
+def test_divergence_in_a_later_block_counts_batches_from_the_epoch_start(monkeypatch):
+    # blocks of 2 batches of 32 rows (2 * 32 * 8 features); predict then takes
+    # 512 // 32 = 16 rows a call.  An epoch makes 4 batch calls and 8 predict
+    # calls, so the 16th call is epoch 1's batch 3, the second batch of the
+    # epoch's second block.
+    monkeypatch.setattr(trainer, "CHUNK_ELEMENTS", 2 * 32 * 8)
+    real = trainer.softmax_rows
+    calls = []
+
+    def diverging(logits):
+        calls.append(None)
+        if len(calls) == 16:
+            raise ValueError("logits must be finite")
+        return real(logits)
+
+    monkeypatch.setattr(trainer, "softmax_rows", diverging)
+    tr, va = small_problem()
+    with pytest.raises(ValueError) as info:
+        train(tr, va, recipe_config(epochs=3))
+    assert str(info.value) == "epoch 1 batch 3: logits must be finite"
 
 
 def test_train_seed_matters():
@@ -329,7 +365,10 @@ def train_problems(draw):
 @given(train_problems())
 def test_train_matches_per_sample_reference(problem):
     tr, va, cfg = problem
-    model, log = train(tr, va, cfg)
+    assert_matches_per_sample_reference(*train(tr, va, cfg), tr, va, cfg)
+
+
+def assert_matches_per_sample_reference(model, log, tr, va, cfg):
     ref_model, ref_log = oracles.train(tr, va, cfg)
     for name in ("backbone", "head_weights", "head_bias"):
         assert np.allclose(getattr(model, name), getattr(ref_model, name), rtol=1e-12, atol=1e-15)
@@ -337,3 +376,30 @@ def test_train_matches_per_sample_reference(problem):
     assert [r.val_top1 for r in log.records] == [r.val_top1 for r in ref_log.records]
     for record, ref in zip(log.records, ref_log.records):
         assert record.train_loss == pytest.approx(ref.train_loss, rel=1e-12)
+
+
+# 120 rows in blocks of one, two and three whole batches.  With 8 features
+# in batches of 32 (the last one 24 rows), the last block of two batches ends
+# in the short batch and the last block of three is the short batch alone.
+# With 5 features in batches of 7 (the last one 1 row), each batch's slice
+# of a block starts 280 bytes after the one before, not on a 64-byte line.
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+@pytest.mark.parametrize("dims, classes, batch_size", [(8, 4, 32), (5, 3, 7)])
+@pytest.mark.parametrize("loss, freeze", [
+    (LossConfig(epsilon=0.06, gamma=0.3), FreezePolicy.UNFROZEN),
+    (LossConfig(epsilon=0.0, gamma=2.0, form="target_only"), FreezePolicy.FROZEN),
+    (LossConfig(epsilon=0.3, gamma=0.0), FreezePolicy.UNFROZEN),
+])
+def test_epochs_of_several_blocks_train_as_one_block_does(
+    monkeypatch, blocks, dims, classes, batch_size, loss, freeze
+):
+    tr, va = (synth_dataset(seed, 120, dims, classes, 1.0) for seed in (1, 2))
+    cfg = recipe_config(freeze=freeze, epochs=3, loss=loss, batch_size=batch_size,
+                        schedule=StepDecaySchedule(0.05, (0, 1), (1.0, 0.5)))
+    model, log = train(tr, va, cfg)  # one block per epoch at the default size
+    monkeypatch.setattr(trainer, "CHUNK_ELEMENTS", blocks * batch_size * max(dims, classes))
+    blocked_model, blocked_log = train(tr, va, cfg)
+    for name in ("backbone", "head_weights", "head_bias"):
+        assert getattr(blocked_model, name).tobytes() == getattr(model, name).tobytes()
+    assert blocked_log == log
+    assert_matches_per_sample_reference(blocked_model, blocked_log, tr, va, cfg)
