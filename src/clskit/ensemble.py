@@ -23,23 +23,25 @@ non-finite intermediates) are summed by ``math.fsum`` itself.  The kernel
 works in blocks of at most :data:`CHUNK_ELEMENTS` values, every block of a
 call in the same buffer, with the TwoSum steps done in place.
 
-The sweep makes its weight grid chunk by chunk, in the grid's order, so its
-memory is that of one chunk however many points the grid has.  The top-1,
-top-5 and mean-class-accuracy objectives only compare fused values within
-a row, so the sweep filters before it sums exactly (the "filter, then exact"
-pattern of Shewchuk, "Adaptive Precision Floating-Point Arithmetic and Fast
-Robust Geometric Predicates", 1997): one matrix product per chunk gives a
-plain float value of every fused element and a bound on its distance from
-the correctly rounded one.  A row whose every class margin to the true
-class exceeds the two bounds is ranked by the floats; only the rest, the
-near ties, are fused exactly and ranked by the metrics' rule.  Either way
-each point's score is the one :func:`fuse`'s output gets.  mAP and mAUC
-need the values themselves: they fuse every point exactly and score each
-chunk's points in one batched ranking.
+The sweep makes its weight grid one chunk at a time, in lexicographic order,
+from ``itertools.combinations`` by stars and bars (each point's bar
+positions), so its memory is that of one chunk however many points the grid
+has.  The top-1, top-5 and mean-class-accuracy objectives only compare fused
+values within a row, so the sweep filters before it sums exactly (the
+"filter, then exact" pattern of Shewchuk, "Adaptive Precision Floating-Point
+Arithmetic and Fast Robust Geometric Predicates", 1997): one matrix product
+per chunk gives a plain float value of every fused element and a bound on
+its distance from the correctly rounded one.  A row whose every class margin
+to the true class exceeds the two bounds is ranked by the floats; only the
+rest, the near ties, are fused exactly and ranked by the metrics' rule.
+Either way each point's score is the one :func:`fuse`'s output gets.  mAP
+and mAUC need the values themselves: they fuse every point exactly and score
+each chunk's points in one batched ranking.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -47,7 +49,7 @@ from typing import Sequence
 import numpy as np
 
 # topk_accuracy goes unused here; perfbench's tracer times it under this name
-from .metrics import _class_accuracy, _ranking_means, _topk_rows, topk_accuracy  # noqa: F401
+from .metrics import _class_accuracy, _ranking_means, _true_class_rank, topk_accuracy  # noqa: F401
 from .numerics import CHUNK_ELEMENTS, check_labels, check_prediction_matrix, softmax_rows
 
 SCORE_TYPES = ("prob", "logit")
@@ -209,48 +211,29 @@ def fuse(
     return _exact_sum(mats, w)
 
 
-def _composition_grid(total: int, parts: int) -> np.ndarray:
-    """Every way to write ``total`` as ``parts`` non-negative integers, one per
-    row, in ascending lexicographic order, so that on ties the first (lex
-    smallest) weight vector wins."""
-    prefixes = np.zeros((1, 0), dtype=np.int64)
-    for _ in range(parts - 1):
-        choices = total - prefixes.sum(axis=1) + 1  # next part: 0 .. what is left
-        first = np.cumsum(choices) - choices
-        heads = np.arange(choices.sum()) - np.repeat(first, choices)
-        prefixes = np.column_stack([np.repeat(prefixes, choices, axis=0), heads])
-    return np.column_stack([prefixes, total - prefixes.sum(axis=1)])
-
-
-def _grid_blocks(total: int, parts: int, size: int):
-    """The rows of ``_composition_grid(total, parts)``, in order, as blocks of
-    at most ``size`` rows: a grid that fits is made whole, a two-part grid is
-    sliced, and a larger one is split by its leading part."""
-    if math.comb(total + parts - 1, parts - 1) <= size:
-        yield _composition_grid(total, parts)
-    elif parts == 2:
-        for start in range(0, total + 1, size):
-            heads = np.arange(start, min(start + size, total + 1))
-            yield np.column_stack([heads, total - heads])
-    else:
-        for head in range(total + 1):
-            for block in _grid_blocks(total - head, parts - 1, size):
-                yield np.column_stack([np.full(len(block), head), block])
-
-
 def _grid_chunks(total: int, parts: int, size: int):
-    """``_composition_grid(total, parts)`` cut into consecutive chunks of
-    ``size`` rows (the last may be shorter), made from blocks of at most
-    about :data:`CHUNK_ELEMENTS` values, so the whole grid never exists."""
-    pending = np.zeros((0, parts), dtype=np.int64)
-    for block in _grid_blocks(total, parts, max(size, CHUNK_ELEMENTS // parts)):
-        block = np.concatenate([pending, block])
-        cut = len(block) - len(block) % size
-        for start in range(0, cut, size):
-            yield block[start:start + size]
-        pending = block[cut:]
-    if len(pending):
-        yield pending
+    """Every way to write ``total`` as ``parts`` non-negative integers, one per
+    row, in ascending lexicographic order (so that on ties the first, lex
+    smallest, weight vector wins), as consecutive chunks of ``size`` rows (the
+    last may be shorter).
+
+    Stars and bars: a composition is a choice of ``parts - 1`` bar positions
+    out of ``total + parts - 1``, its parts the gaps between the bars, and
+    ``itertools.combinations`` yields those choices in the same lexicographic
+    order.  The choices are read a whole number of chunks, about
+    :data:`CHUNK_ELEMENTS` values, at a time, so the whole grid never exists.
+    """
+    slots = total + parts - 1
+    bars = itertools.combinations(range(slots), parts - 1)
+    step = size * max(1, CHUNK_ELEMENTS // (size * parts))
+    while True:
+        flat = itertools.chain.from_iterable(itertools.islice(bars, step))
+        block = np.fromiter(flat, np.int64).reshape(-1, parts - 1)
+        if not len(block):
+            return
+        rows = np.diff(block, axis=1, prepend=-1, append=slots) - 1
+        for start in range(0, len(rows), size):
+            yield rows[start:start + size]
 
 
 def _filter_values(
@@ -318,7 +301,7 @@ def _sweep_topk_rows(
     for start in range(0, points.size, step):
         p, r = points[start:start + step], rows[start:start + step]
         fused = _exact_sum(weights.T[:, p, None] * stack[:, r])
-        hits[p, r] = _topk_rows(fused, y[r], k)
+        hits[p, r] = _true_class_rank(fused, y[r]) < k
     return hits
 
 

@@ -55,7 +55,7 @@ import numpy as np
 
 from .ensemble import EnsembleManifest, EnsembleMember, _exact_sum
 from .losses import LossConfig
-from .numerics import CHUNK_ELEMENTS, check_prediction_matrix
+from .numerics import CHUNK_ELEMENTS, check_integers, check_prediction_matrix
 from .schedule import (
     DEFAULT_BASE_LR,
     DEFAULT_MULTIPLIERS,
@@ -521,12 +521,14 @@ def read_predictions(path: str) -> tuple[list[str], np.ndarray]:
 
 
 def write_labels(path: str, ids: list[str], labels: np.ndarray) -> None:
-    y = np.asarray(labels, dtype=int)
+    y = check_integers(labels)
     if len(ids) != y.shape[0]:
         raise ValueError(f"{len(ids)} ids for {y.shape[0]} labels")
     _check_ids(list(ids))
     if y.size and y.min() < 0:
         raise ValueError("labels must be non-negative")
+    if y.size and y.max() >= 2**63:
+        raise ValueError("labels must be below 2**63")
     lines = "".join(f"{sample_id},{int(label)}\n" for sample_id, label in zip(ids, y.tolist()))
     with _atomic_write(path) as handle:
         handle.write(("id,label\n" + lines).encode("utf-8"))

@@ -102,18 +102,6 @@ def _true_class_rank(scores: np.ndarray, y: np.ndarray) -> np.ndarray:
     return rank.reshape(scores.shape[:-1])
 
 
-def _topk_rows(scores: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
-    """Mask of the rows of ``(..., n, C)`` scores whose true class is among
-    the k highest."""
-    return _true_class_rank(scores, y) < k
-
-
-def _topk_hits(scores: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
-    """Count, along the row axis of ``(..., n, C)`` scores, the rows
-    :func:`_topk_rows` marks."""
-    return np.count_nonzero(_topk_rows(scores, y, k), axis=-1)
-
-
 def _class_accuracy(hits: np.ndarray, y: np.ndarray, num_classes: int) -> np.ndarray:
     """Mean over the classes present in ``y`` of the share of their rows that
     ``(..., n)`` hit masks mark: each recall is a ratio of exact integer
@@ -135,7 +123,7 @@ def topk_accuracy(preds: np.ndarray, labels: np.ndarray, k: int) -> float:
     y = check_labels(labels, n, num_classes)
     if not 1 <= k <= num_classes:
         raise ValueError(f"k must be in [1, {num_classes}], got {k}")
-    return int(_topk_hits(scores, y, k)) / n
+    return int(np.count_nonzero(_true_class_rank(scores, y) < k)) / n
 
 
 def mean_class_accuracy(preds: np.ndarray, labels: np.ndarray) -> float:
@@ -143,7 +131,7 @@ def mean_class_accuracy(preds: np.ndarray, labels: np.ndarray) -> float:
     scores = check_prediction_matrix(preds)
     n, num_classes = scores.shape
     y = check_labels(labels, n, num_classes)
-    return float(_class_accuracy(_topk_rows(scores, y, 1), y, num_classes))
+    return float(_class_accuracy(_true_class_rank(scores, y) < 1, y, num_classes))
 
 
 def _class_order(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -100,23 +100,34 @@ def check_prediction_matrix(scores: np.ndarray) -> np.ndarray:
     return m
 
 
+def check_integers(labels: np.ndarray) -> np.ndarray:
+    """Validate that every label is a whole number, and return the labels
+    with their range still testable: integer arrays as they are, finite whole
+    floats and objects (Python integers of any size among them) unconverted.
+    Fractions, non-finite values and text raise ``labels must be integers``."""
+    y = np.asarray(labels)
+    if y.dtype.kind in "iu":
+        return y
+    if y.dtype.kind == "b":  # the ints 0 and 1, which a range test compares
+        return y.astype(int)
+    if y.dtype.kind == "f":
+        whole = np.isfinite(y) & (np.floor(y) == y)
+    else:
+        try:  # text never equals its int(); None, NaN and infinities raise
+            whole = np.array([v == int(v) for v in y.ravel().tolist()], dtype=bool)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError("labels must be integers") from None
+    if not whole.all():
+        raise ValueError("labels must be integers")
+    return y
+
+
 def check_labels(labels: np.ndarray, n: int, num_classes: int) -> np.ndarray:
     """Validate a label vector against a prediction matrix's shape."""
     y = np.asarray(labels)
     if y.ndim != 1 or y.size != n:
         raise ValueError(f"labels must be a vector of length {n}")
-    if not np.issubdtype(y.dtype, np.integer):
-        try:
-            as_int = y.astype(int)
-        except OverflowError:  # an object array holding an int past int64
-            raise ValueError(f"labels must lie in [0, {num_classes})") from None
-        except (TypeError, ValueError):  # text or objects that are not numbers
-            raise ValueError("labels must be integers") from None
-        if not np.all(y == as_int):  # a fraction, or text parsed as a number
-            raise ValueError("labels must be integers")
-        y = as_int
-    else:
-        y = y.astype(int)
+    y = check_integers(y)
     if y.size and (y.min() < 0 or y.max() >= num_classes):
         raise ValueError(f"labels must lie in [0, {num_classes})")
-    return y
+    return y.astype(int)

@@ -17,11 +17,9 @@ from clskit import ensemble
 from clskit.ensemble import (
     EnsembleManifest,
     EnsembleMember,
-    _composition_grid,
     _exact_sum,
     _filter_topk_rows,
     _filter_values,
-    _grid_blocks,
     _grid_chunks,
     fuse,
     sweep_weights,
@@ -329,7 +327,7 @@ def test_sweep_matches_brute_force_reference(objective, case, chunk, monkeypatch
 @pytest.mark.parametrize("parts", [2, 3, 4, 5])
 def test_composition_grid_keeps_recursive_lex_order(parts):
     for total in range(1, 9):
-        grid = _composition_grid(total, parts)
+        grid = np.concatenate(list(_grid_chunks(total, parts, 4)))
         assert grid.tolist() == [list(c) for c in _compositions(total, parts)]
 
 
@@ -338,17 +336,18 @@ MAX_POINTS = ensemble.MAX_GRID_POINTS
 
 @pytest.mark.parametrize("total, parts, size", [
     (8, 2, 3), (8, 3, 1), (8, 3, 4), (8, 4, 7), (8, 5, 16), (20, 4, 13), (3, 5, 1000),
+    (10, 2, 7),  # 7 rows of 2 parts exceed the 12 values: every step is one chunk
 ])
 def test_grid_chunks_cut_the_grid_in_order(total, parts, size, monkeypatch):
     monkeypatch.setattr(ensemble, "CHUNK_ELEMENTS", 12)  # many small blocks
     chunks = list(_grid_chunks(total, parts, size))
     assert all(len(c) == size for c in chunks[:-1]) and 1 <= len(chunks[-1]) <= size
-    assert np.array_equal(np.concatenate(chunks), _composition_grid(total, parts))
+    assert np.concatenate(chunks).tolist() == [list(c) for c in _compositions(total, parts)]
 
 
 def test_two_member_grid_near_the_cap_comes_in_full_blocks():
     total = MAX_POINTS - 1
-    blocks = list(_grid_blocks(total, 2, 4096))
+    blocks = list(_grid_chunks(total, 2, 4096))
     assert all(len(block) == 4096 for block in blocks[:-1])
     assert np.array_equal(np.concatenate([block[:, 0] for block in blocks]),
                           np.arange(total + 1))
@@ -386,9 +385,9 @@ def filter_cases(draw):
     flat = np.array(draw(st.lists(st.lists(entry, min_size=size, max_size=size),
                                   min_size=m, max_size=m)))
     resolution = draw(st.integers(1, 12))
-    grid = _composition_grid(resolution, m)
+    grid = list(_compositions(resolution, m))
     rows = draw(st.lists(st.integers(0, len(grid) - 1), min_size=1, max_size=6))
-    return grid[rows] / resolution, flat
+    return np.array([grid[row] for row in rows]) / resolution, flat
 
 
 @settings(max_examples=300)

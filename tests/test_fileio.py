@@ -150,6 +150,18 @@ def test_write_labels_rejects_negative(tmp_path):
         write_labels(str(tmp_path / "x.csv"), ["a"], np.array([-1]))
 
 
+@pytest.mark.parametrize("labels, message", [
+    ([0.5, 1.7], "labels must be integers"),  # was truncated to 0, 1
+    (np.array(["1", "2"]), "labels must be integers"),  # was parsed to 1, 2
+    (np.array([0, 2**70], dtype=object), r"labels must be below 2\*\*63"),  # was OverflowError
+])
+def test_write_labels_rejects_labels_that_are_not_integers(tmp_path, labels, message):
+    path = tmp_path / "x.csv"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        write_labels(str(path), ["a", "b"], labels)
+    assert not path.exists()
+
+
 def test_write_labels_rejects_an_id_with_a_newline(tmp_path):
     path = tmp_path / "x.csv"
     with pytest.raises(ValueError, match=r"^sample id must not contain a newline, got 'a\\nb'$"):

@@ -18,8 +18,7 @@ from clskit.metrics import (
     _class_accuracy,
     _class_order,
     _ranking_means,
-    _topk_hits,
-    _topk_rows,
+    _true_class_rank,
     full_report,
     mean_auc,
     mean_average_precision,
@@ -123,7 +122,7 @@ def test_batched_topk_hits_match_oracle_per_slice():
         batch = np.round(rng.uniform(0.0, 1.0, size=(3, 2) + scores.shape), 1)
         n = scores.shape[0]
         for k in range(1, scores.shape[1] + 1):
-            hits = _topk_hits(batch, labels, k)
+            hits = np.count_nonzero(_true_class_rank(batch, labels) < k, axis=-1)
             assert hits.shape == (3, 2)
             for index in np.ndindex(3, 2):
                 assert hits[index] / n == oracle_topk(batch[index], labels, k)
@@ -257,8 +256,9 @@ def test_stacked_topk_and_class_accuracy_match_oracles_per_point(instance, chunk
     stack, labels = instance
     n, num_classes = stack.shape[1:]
     with mock.patch.object(metrics, "CHUNK_ELEMENTS", chunk):
-        hits = {k: _topk_hits(stack, labels, k) for k in range(1, num_classes + 1)}
-        mca = _class_accuracy(_topk_rows(stack, labels, 1), labels, num_classes)
+        rank = _true_class_rank(stack, labels)
+        mca = _class_accuracy(rank < 1, labels, num_classes)
+    hits = {k: np.count_nonzero(rank < k, axis=-1) for k in range(1, num_classes + 1)}
     assert mca.shape == (len(stack),)
     for point, scores in enumerate(stack):
         for k, counts in hits.items():

@@ -97,7 +97,14 @@ def test_feature_dataset_validation():
     (np.array(["a", "b", "c"]), "labels must be integers"),  # was numpy's int() parse error
     (np.array([0, 1, None], dtype=object), "labels must be integers"),  # was a TypeError
     (np.array([0, 1, 2**70], dtype=object), r"labels must lie in \[0, 3\)"),  # was OverflowError
+    # floats past int64 and NaN were cast with a RuntimeWarning, then misnamed
+    ([0.0, 1.0, 1e300], r"labels must lie in \[0, 3\)"),
+    ([0.0, 1.0, 2.0**63], r"labels must lie in \[0, 3\)"),
+    ([0.0, 1.0, -1e300], r"labels must lie in \[0, 3\)"),
+    ([0.0, 1.0, np.nan], "labels must be integers"),
+    ([0.0, 1.0, np.inf], "labels must be integers"),
 ])
+@pytest.mark.filterwarnings("error")
 def test_feature_dataset_rejects_labels_that_are_not_integers_in_range(labels, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         FeatureDataset(np.zeros((3, 2)), labels, 3)
