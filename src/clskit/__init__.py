@@ -1,11 +1,12 @@
 """Deterministic classifier training, prediction fusion, and evaluation.
 
 The package is organized as a thin stack: ``numerics`` provides the seeded
-random streams and a stable softmax, ``losses`` the smoothed/focal
-cross-entropy family, ``schedule`` step-decay learning rates, ``trainer`` a
-small reference classifier, ``metrics`` the five ranking metrics,
-``ensemble`` weighted prediction fusion, and ``cli`` the command-line
-surface plus file formats.
+random streams, a stable softmax and input checks, ``losses`` the
+smoothed/focal cross-entropy family, ``schedule`` step-decay learning rates,
+``trainer`` a small reference classifier, ``metrics`` the five ranking
+metrics, ``ensemble`` weighted prediction fusion and the fusion-weight
+sweep, ``fileio`` the prediction and label CSVs and the run-config and
+manifest JSON files, and ``cli`` the command-line surface.
 """
 
 from .ensemble import EnsembleManifest, EnsembleMember, fuse, sweep_weights

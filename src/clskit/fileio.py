@@ -8,7 +8,7 @@ is UTF-8 with LF line endings, and writing is deterministic: identical
 inputs produce identical bytes.
 
 A file is read once as bytes.  When every value has the fixed-point form
-the writers print (``-?\\d{1,6}\\.\\d{9}`` for predictions, up to 18 digits
+the writers print (``-?\\d{1,6}\\.\\d{9}`` for predictions, up to 15 digits
 for labels), one numpy kernel parses it from the bytes in blocks of about
 ``CHUNK_ELEMENTS`` values, giving the same bits as ``float``.  The kernel
 finds a block's cells in one of two ways.  A block whose lines share one
@@ -17,14 +17,14 @@ the files clskit writes with zero-padded ids) is a 2-D view of the bytes,
 and its cells are strided views of that; any other block is scanned for
 its delimiters and its cells gathered.  Either way each cell sits in a
 window as wide as the block's widest cell plus a sign slot, and one tail
-checks the windows and turns their digits into integers with one float64
-place-value product, exact below 2**53: each column of the place values
-spans at most 15 digits, and a label of 16-18 digits adds its two columns
-in int64.  Ids must not repeat.  When every block is a view and the ids,
-as bytes, rise strictly from line to line (one vectorized comparison of
-neighbours per block), they are distinct; only otherwise does a ``set`` of
-the ids look for a repeat.  Any other file, such as a value in another
-float syntax, goes to the general path: it is read line by line, each cell
+checks the windows and turns their digits into signed integers with one
+float64 place-value product: a cell holds at most 15 digits, integer and
+decimal, so the product is exact below 2**53.  Ids must not repeat.  When
+every block is a view and the ids, as bytes, rise strictly from line to
+line (one vectorized comparison of neighbours per block), they are
+distinct; only otherwise does a ``set`` of the ids look for a repeat.  Any
+other file, such as a value in another float syntax or a label of 16 or
+more digits, goes to the general path: it is read line by line, each cell
 parsed with ``float`` (or ``int``), and its first bad line raises the
 error.
 Predictions are written in blocks of about ``CHUNK_ELEMENTS`` values, and
@@ -66,7 +66,7 @@ from .schedule import (
 from .trainer import FeatureDataset, TrainConfig, synth_dataset
 
 _UNIT = 10**9  # one printed decimal unit: 9 fixed decimals
-_DOT_DIGITS = 15  # digit slots per place-value column: 10**15 < 2**53
+_DOT_DIGITS = 15  # digit slots per cell, integer and decimal: 10**15 < 2**53
 _LABEL = re.compile(r"[+-]?\d+")
 
 
@@ -282,26 +282,19 @@ def _read_head(path: str) -> tuple[bytes, str]:
 def _cell_layout(digits: int, decimals: int):
     """The byte slots of a window that holds a sign slot and the cell
     ``\\d{digits}(\\.\\d{decimals})?``: the point's slot, the float64
-    place-value matrix, and the masks that keep a cell's digit slots.
+    place-value vector, and the masks that keep a cell's digit slots.
 
-    The matrix has a row per slot and a column per group of
-    :data:`_DOT_DIGITS` digit slots, counted from the right: column ``k``
-    holds the place values of group ``k`` in units of ``10 ** (15 * k)``,
-    and 0 in every other slot.  A window of digits times a column is then
-    an integer below ``10**15``: the float64 place-value product is exact
-    below 2**53, in any summation order and on any BLAS thread count.  A
-    prediction cell (6 + 9 digits) needs one column; only a label of 16-18
-    digits needs a second."""
+    The vector holds 10 to the number of digit slots right of each digit
+    slot, and 0 in the sign and point slots.  A cell the kernel takes has at
+    most :data:`_DOT_DIGITS` digits, so its kept digits times the vector are
+    an integer below ``10**15``: the float64 product is exact below 2**53, in
+    any summation order and on any BLAS thread count."""
     fraction = decimals + 1 if decimals else 0
     width = 1 + digits + fraction  # sign slot, integer digits, point and decimals
     point = width - fraction  # integer digits sit in slots 1 .. point - 1
     slots = np.arange(width)
     digit_slot = (slots > 0) & (slots != point)
-    # a digit's place value is 10 ** (the digit slots to its right)
-    exponent = np.cumsum(digit_slot[::-1])[::-1] - 1
-    column = np.where(digit_slot, exponent // _DOT_DIGITS, -1)
-    columns = np.arange(math.ceil((digits + decimals) / _DOT_DIGITS))
-    place = np.where(column[:, None] == columns, 10.0 ** (exponent % _DOT_DIGITS)[:, None], 0.0)
+    place = np.where(digit_slot, 10.0 ** (np.cumsum(digit_slot[::-1])[::-1] - 1), 0.0)
     # Row f keeps the digit slots of a cell whose first digit is in slot f.
     # It and every window of :func:`_scanned_cells` are single
     # ``width``-byte items, so a gather copies whole windows.
@@ -379,13 +372,14 @@ def _scanned_cells(data: bytes, start: int, stop: int, values_per_row: int, limi
     return block_ids, cells, first, negative, None
 
 
-def _fixed_point_rows(data: bytes, start: int, values_per_row: int, digits: int, decimals: int):
-    """Ids, magnitudes and signs of the data lines ``data[start:]``, each an id
-    and ``values_per_row`` cells of the form ``-?\\d{1,digits}`` followed, when
-    ``decimals`` > 0, by a point and exactly ``decimals`` digits; magnitudes
-    count units of ``10**-decimals``.  None when any line differs: another
-    comma count, other cell text, no final newline, or an empty or repeated
-    id.
+def _fixed_point_rows(data: bytes, start: int, values_per_row: int, decimals: int):
+    """Ids and values of the data lines ``data[start:]``, each an id and
+    ``values_per_row`` cells of the form ``-?\\d+`` followed, when
+    ``decimals`` > 0, by a point and exactly ``decimals`` digits, with at
+    most :data:`_DOT_DIGITS` digits in all.  Values are float64 integers in
+    units of ``10**-decimals``, -0.0 for a negative zero.  None when any
+    line differs: another comma count, other cell text, no final newline,
+    or an empty or repeated id.
 
     Blocks of about ``CHUNK_ELEMENTS`` cells are parsed from bytes.  A cell
     ends at its delimiter, so a window of bytes as wide as the block's widest
@@ -394,19 +388,18 @@ def _fixed_point_rows(data: bytes, start: int, values_per_row: int, digits: int,
     (:func:`_one_layout_cells`); any other block is scanned for its
     delimiters and its windows gathered (:func:`_scanned_cells`).  Each
     window is then checked slot by slot, and the windows, cast to float64,
-    times the place-value matrix of :func:`_cell_layout` give the
-    magnitudes: float64 for cells of at most :data:`_DOT_DIGITS` digits,
-    else int64 sums of the matrix's columns.
+    times the place-value vector of :func:`_cell_layout` give the block's
+    magnitudes, which its signs then negate.
 
     Ids that rise strictly as bytes are distinct, so a set of the ids looks
     for a repeat only when some block is scanned, or when the ids of a view
     do not rise from line to line and from the block before.
     """
     fraction = decimals + 1 if decimals else 0
+    digits = _DOT_DIGITS - decimals  # integer digits
     limit = 1 + digits + fraction  # the widest cell: a sign, digits, point and decimals
-    wide = digits + decimals > _DOT_DIGITS  # a magnitude may pass 2**53
     ids: list[str] = []
-    magnitudes, signs = [], []
+    values = []
     ordered, last = True, b""
     while start < len(data):
         # whole lines; a last line without its newline fails the delimiter test
@@ -434,12 +427,8 @@ def _fixed_point_rows(data: bytes, start: int, values_per_row: int, digits: int,
         if cells.max() >= 10:
             return None
         ids.extend(block_ids)
-        sums = cells.reshape(-1, width).astype(np.float64) @ place
-        if wide:  # column k counts units of 10 ** (15 * k)
-            magnitudes.append(sums.astype(np.int64) @ 10 ** (_DOT_DIGITS * np.arange(sums.shape[1])))
-        else:  # a second column has only the slot of a sign, which is never a digit
-            magnitudes.append(sums[:, 0])
-        signs.append(negative.ravel())
+        block = cells.reshape(-1, width).astype(np.float64) @ place
+        values.append(np.negative(block, out=block, where=negative.ravel()))
         # ``S`` items of one length compare as their bytes
         ordered = (ordered and names is not None and last < names[:1].tobytes()
                    and bool((names[1:] > names[:-1]).all()))
@@ -448,7 +437,7 @@ def _fixed_point_rows(data: bytes, start: int, values_per_row: int, digits: int,
         start = stop
     if not ordered and len(set(ids)) < len(ids):
         return None
-    return ids, np.concatenate(magnitudes), np.concatenate(signs)
+    return ids, np.concatenate(values)
 
 
 def _parse_number(text: str, where: str) -> float:
@@ -508,15 +497,14 @@ def read_predictions(path: str) -> tuple[list[str], np.ndarray]:
     # The header is ASCII, so the data lines start one byte past its length.
     if len(data) <= len(header_line) + 1:
         raise ValueError(f"{path}:1: prediction file has no data rows")
-    fixed = _fixed_point_rows(data, len(header_line) + 1, num_classes, 6, 9)
+    fixed = _fixed_point_rows(data, len(header_line) + 1, num_classes, 9)
     if fixed is None:
         ids, values = _read_lines(path, data, num_classes + 1, _parse_number)
         return ids, np.array(values).reshape(len(ids), num_classes)
-    # With at most 15 digits every magnitude is a float64 integer below 2**53,
-    # so one correctly rounded division gives float()'s bits, -0.0 included.
-    ids, values, negative = fixed
+    # Every value is a float64 integer below 2**53, so one correctly rounded
+    # division gives float()'s bits, -0.0 included.
+    ids, values = fixed
     values /= _UNIT
-    np.negative(values, out=values, where=negative)
     return ids, values.reshape(len(ids), num_classes)
 
 
@@ -540,10 +528,11 @@ def read_labels(path: str) -> tuple[list[str], list[int]]:
         raise ValueError(f"{path}:1: header must be 'id,label'")
     if len(data) <= len(header) + 1:
         raise ValueError(f"{path}:1: label file has no data rows")
-    fixed = _fixed_point_rows(data, len(header) + 1, 1, 18, 0)
-    if fixed is None or fixed[2].any():  # signed labels take the line reader
+    fixed = _fixed_point_rows(data, len(header) + 1, 1, 0)
+    # signed labels, -0 among them, and labels past 15 digits take the line reader
+    if fixed is None or np.signbit(fixed[1]).any():
         return _read_lines(path, data, 2, _parse_label)
-    return fixed[0], fixed[1].tolist()
+    return fixed[0], fixed[1].astype(np.int64).tolist()
 
 
 @dataclass(frozen=True)

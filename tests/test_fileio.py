@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clskit import fileio
+from clskit.cli import main
 from clskit.ensemble import EnsembleManifest, EnsembleMember
 from clskit.fileio import (
     DatasetSpec,
@@ -754,13 +755,13 @@ def id_order_files(draw, values_per_row, header, cell_kinds):
 
 
 # one integer digit, or 15 digits in all, unsigned or with signs (whose cells
-# then differ in width); labels of up to 18 digits
+# then differ in width); labels of up to 15 digits
 prediction_cell_kinds = st.sampled_from([
     st.builds("{}.{}".format, digits(1, 1), digits(9, 9)),
     st.builds("{}.{}".format, digits(6, 6), digits(9, 9)),
     st.builds("{}{}.{}".format, st.sampled_from(["", "-"]), digits(6, 6), digits(9, 9)),
 ])
-label_cell_kinds = st.sampled_from([digits(size, size) for size in (1, 2, 15, 16, 17, 18)])
+label_cell_kinds = st.sampled_from([digits(size, size) for size in (1, 2, 14, 15)])
 
 
 @settings(max_examples=200)
@@ -769,9 +770,9 @@ label_cell_kinds = st.sampled_from([digits(size, size) for size in (1, 2, 15, 16
         c, "id," + ",".join(f"c{j}" for j in range(c)) + "\n", prediction_cell_kinds)),
     id_order_files(1, "id,label\n", label_cell_kinds)))
 def test_ordered_shuffled_and_repeated_ids_read_as_the_line_reader_reads_them(scratch_csv, text):
-    # 15-digit prediction cells and 16-18-digit labels take every place-value
-    # column; chunk 1 makes each line its own block, so a repeat right after
-    # its twin is then across a block boundary
+    # 15-digit prediction cells and labels fill the kernel's digit budget;
+    # chunk 1 makes each line its own block, so a repeat right after its
+    # twin is then across a block boundary
     with open(scratch_csv, "w", encoding="utf-8", newline="") as handle:
         handle.write(text)
     read, oracle = ((read_labels, oracle_read_labels) if text.startswith("id,label\n")
@@ -830,7 +831,7 @@ def test_clskit_written_files_are_read_without_the_general_parser(tmp_path):
                      123456.5, -0.5, 5e-10]
     ids = [f"s{i:05d}\xe9" for i in range(20000)]
     labels = rng.integers(0, 10, size=20000)
-    labels[:2] = [10**18 - 1, 0]
+    labels[:2] = [10**15 - 1, 0]  # the widest label the kernel takes
     preds_path, labels_path = str(tmp_path / "p.csv"), str(tmp_path / "l.csv")
     write_predictions(preds_path, ids, matrix)
     write_labels(labels_path, ids, labels)
@@ -843,6 +844,33 @@ def test_clskit_written_files_are_read_without_the_general_parser(tmp_path):
     assert got == (outcome(oracle_read_predictions, preds_path),
                    outcome(oracle_read_labels, labels_path))
     assert np.signbit(zero[0, 0]) and zero.tobytes() == np.array([[-0.0, 1.0]]).tobytes()
+
+
+def test_long_and_zero_padded_labels_are_read_line_by_line(tmp_path, capsys):
+    # a kernel cell holds 15 digits: a label of 16 or more, zero-padded
+    # small ones among them, sends its file to the line reader, once
+    path = tmp_path / "l.csv"
+    long_labels = [str(10**15), str(10**16 + 7), str(10**18 - 1), str(10**18), str(10**20 + 3),
+                   str(10**21 - 1), "0000000000000003", "0000000000000000", "0" * 20 + "12"]
+    for cell in long_labels:
+        lines = [f"s{i:03d},{i % 3}\n" for i in range(300)]
+        lines[150] = f"s150,{cell}\n"
+        path.write_text("id,label\n" + "".join(lines), encoding="utf-8")
+        expected = outcome(oracle_read_labels, str(path))
+        assert expected[1][150] == int(cell)
+        for chunk in CHUNKS:
+            with mock.patch.object(fileio, "CHUNK_ELEMENTS", chunk), \
+                    mock.patch.object(fileio, "_read_lines", wraps=fileio._read_lines) as general:
+                assert outcome(read_labels, str(path)) == expected
+            assert general.call_count == 1
+    # such a label can only be out of range, and eval says which
+    preds = str(tmp_path / "p.csv")
+    write_predictions(preds, ["a", "b"], np.array([[0.5, 0.5], [0.5, 0.5]]))
+    for cell, top in [("1000000000000000", 10**15), ("123456789012345678", 123456789012345678),
+                      ("0000000000000003", 3)]:
+        path.write_text(f"id,label\na,1\nb,{cell}\n", encoding="utf-8")
+        assert main(["eval", "--preds", preds, "--labels", str(path)]) == 2
+        assert f"label {top} out of range for 2 prediction columns" in capsys.readouterr().err
 
 
 def test_a_late_non_fixed_cell_sends_the_file_to_the_general_parser(tmp_path):
