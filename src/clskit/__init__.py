@@ -5,8 +5,9 @@ random streams, a stable softmax and input checks, ``losses`` the
 smoothed/focal cross-entropy family, ``schedule`` step-decay learning rates,
 ``trainer`` a small reference classifier, ``metrics`` the five ranking
 metrics, ``ensemble`` weighted prediction fusion and the fusion-weight
-sweep, ``fileio`` the prediction and label CSVs and the run-config and
-manifest JSON files, and ``cli`` the command-line surface.
+sweep, ``ids`` the sample-id column, ``fileio`` the prediction and label CSVs
+and the run-config and manifest JSON files, and ``cli`` the command-line
+surface.
 """
 
 from .ensemble import EnsembleManifest, EnsembleMember, fuse, sweep_weights

@@ -18,6 +18,7 @@ import numpy as np
 
 from .ensemble import OBJECTIVES, SCORE_TYPES, fuse, sweep_weights
 from .fileio import (
+    SampleIds,
     load_manifest,
     load_run_config,
     read_labels,
@@ -81,25 +82,31 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _align_labels(
-    pred_ids: list[str], label_ids: list[str], labels: list[int], num_classes: int
+    pred_ids: SampleIds, label_ids: SampleIds, labels: np.ndarray, num_classes: int
 ) -> np.ndarray:
-    """Reorder labels to prediction order; ids must match as sets and every
-    label must index one of the ``num_classes`` prediction columns."""
+    """The label array of :func:`read_labels` in prediction order.  Ids must
+    match as sets, and every label must index one of the ``num_classes``
+    prediction columns, so the labels returned are int64.
+
+    Ids in the same order have the same bytes, and their labels need no
+    reordering.  Only other ids are decoded: a dict of label positions then
+    names the first id missing from either side, or gives the order.  The
+    range is checked on the array as read, so a label past int64 (an object
+    array's Python int) is named exactly."""
     if pred_ids != label_ids:
-        by_id = dict(zip(label_ids, labels))
+        position = {sample_id: k for k, sample_id in enumerate(label_ids)}
         pred_set = set(pred_ids)
         for sample_id in pred_ids:
-            if sample_id not in by_id:
+            if sample_id not in position:
                 raise ValueError(f"id {sample_id!r} has predictions but no label")
         for sample_id in label_ids:
             if sample_id not in pred_set:
                 raise ValueError(f"id {sample_id!r} has a label but no predictions")
-        labels = [by_id[sample_id] for sample_id in pred_ids]
-    # Checked on the Python ints: a huge label cannot become a C long.
-    top = max(labels)
+        labels = labels[np.fromiter(map(position.__getitem__, pred_ids), np.intp, len(pred_ids))]
+    top = labels.max()
     if top >= num_classes:
         raise ValueError(f"label {top} out of range for {num_classes} prediction columns")
-    return np.array(labels, dtype=int)
+    return labels
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -134,9 +141,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_members(paths: list[str]) -> tuple[list[str], list[np.ndarray]]:
-    """Read member prediction files that must share one id sequence."""
-    first_ids: list[str] | None = None
+def _read_members(paths: list[str]) -> tuple[SampleIds, list[np.ndarray]]:
+    """Read member prediction files that must share one id sequence, which
+    compare as their bytes."""
+    first_ids: SampleIds | None = None
     members = []
     for path in paths:
         ids, matrix = read_predictions(path)

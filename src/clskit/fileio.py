@@ -26,17 +26,21 @@ distinct; only otherwise does a ``set`` of the ids look for a repeat.  Any
 other file, such as a value in another float syntax or a label of 16 or
 more digits, goes to the general path: it is read line by line, each cell
 parsed with ``float`` (or ``int``), and its first bad line raises the
-error.
+error.  Either path returns the ids as a :class:`SampleIds`, the bytes of
+the id cells, each id followed by its comma, and labels as an int64 array
+(an object array of Python ints when a label is past int64).
 Predictions are written in blocks of about ``CHUNK_ELEMENTS`` values, and
 each block is the mirror image of the reader's kernel: the printed units of
 every value come from one batched rounding (in Python ints when int64 sums
 could overflow), and their digits are written straight into one ``uint8``
-buffer, three decimals at a time from a table of 3-digit groups, with the
-ids UTF-8 encoded by one join; one mask drops the unused slots of shorter
-cells and ids.  Run configs and manifests are read by one schema reader
-from their dataclasses' types.  Every file is written to a temporary file
-beside its target, which replaces the target only once it is complete, so
-a failed write leaves no partial file behind.
+buffer, three decimals at a time from a table of 3-digit groups, with each
+block's ids a slice of the :class:`SampleIds` bytes; one mask drops the
+unused slots of shorter cells and ids.  Both writers take any sequence of
+``str``, and re-check only ids that are not already a :class:`SampleIds`.
+Run configs and manifests are read by one schema reader from their
+dataclasses' types.  Every file is written to a temporary file beside its
+target, which replaces the target only once it is complete, so a failed
+write leaves no partial file behind.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ensemble import EnsembleManifest, EnsembleMember, _exact_sum
+from .ids import SampleIds
 from .losses import LossConfig
 from .numerics import CHUNK_ELEMENTS, check_integers, check_prediction_matrix
 from .schedule import (
@@ -98,27 +103,6 @@ def _atomic_write(path: str):
         raise
 
 
-def _check_ids(ids: list[str]) -> None:
-    """Raise naming the first of ``ids`` that is empty, has a comma or a
-    newline (either would split its line when read back) or repeats.
-    Batched string operations and a sort, which finds repeats in a fraction
-    of a set's memory, check them first."""
-    joined = "".join(ids)
-    if "" not in ids and "," not in joined and "\n" not in joined:
-        order = sorted(ids)
-        if all(map(str.__ne__, order, order[1:])):
-            return
-    seen = set()
-    for sample_id in ids:
-        if not sample_id or "," in sample_id:
-            raise ValueError(f"sample id must be non-empty and comma-free, got {sample_id!r}")
-        if "\n" in sample_id:
-            raise ValueError(f"sample id must not contain a newline, got {sample_id!r}")
-        if sample_id in seen:
-            raise ValueError(f"duplicate sample id {sample_id!r}")
-        seen.add(sample_id)
-
-
 def _units(scaled: np.ndarray) -> np.ndarray:
     """The printed units of every row of an ``(r, C)`` block of scaled values,
     by sum-preserving rounding (largest remainder): each printed value stays
@@ -151,10 +135,11 @@ def _units(scaled: np.ndarray) -> np.ndarray:
 _GROUPS = np.frombuffer(b"".join(b"%03d\0" % k for k in range(1000)), "<u4")
 
 
-def _emit(ids: list[str], units: np.ndarray) -> np.ndarray:
-    """The bytes of the data lines for ``ids`` and an ``(r, C)`` block of
-    printed units (int64 or Python ints): per cell an optional ``-``, the
-    whole units, a point and 9 decimals.
+def _emit(heads: np.ndarray, units: np.ndarray) -> np.ndarray:
+    """The bytes of the data lines for ``heads``, the ``uint8`` bytes of r
+    ids each followed by its comma, and an ``(r, C)`` block of printed units
+    (int64 or Python ints): per cell an optional ``-``, the whole units, a
+    point and 9 decimals.
 
     Every byte goes into one ``uint8`` buffer with a fixed slot for each byte
     any row of the block may need: the id and its comma, left-aligned in a
@@ -168,9 +153,7 @@ def _emit(ids: list[str], units: np.ndarray) -> np.ndarray:
     emitted in halves.
     """
     rows, num_classes = units.shape
-    # Ids are comma-free, so one join gives each id's bytes and its comma,
-    # and the commas give their byte lengths.
-    heads = np.frombuffer((",".join(ids) + ",").encode("utf-8"), np.uint8)
+    # Ids are comma-free, so the commas give their byte lengths.
     ends = np.flatnonzero(heads == ord(",")) + 1
     head_len = np.diff(ends, prepend=0)
     lead = int(head_len.max())
@@ -184,8 +167,8 @@ def _emit(ids: list[str], units: np.ndarray) -> np.ndarray:
     if rows > 1 and rows * lead - heads.size > rows * num_classes * cell:
         # The id padding would outweigh the cells: emit the halves, so that
         # one long id pads only its own row.
-        half = rows // 2
-        return np.concatenate([_emit(ids[:half], units[:half]), _emit(ids[half:], units[half:])])
+        half, cut = rows // 2, ends[rows // 2 - 1]
+        return np.concatenate([_emit(heads[:cut], units[:half]), _emit(heads[cut:], units[half:])])
     width = lead + num_classes * cell
     buf = np.empty((rows, width), np.uint8)
 
@@ -229,9 +212,9 @@ def _emit(ids: list[str], units: np.ndarray) -> np.ndarray:
     return buf.reshape(-1) if keep.all() else buf[keep]
 
 
-def _format_block(ids: list[str], block: np.ndarray) -> np.ndarray:
-    """The bytes of the data lines of a prediction file for ``ids`` and the
-    rows of ``block``."""
+def _format_block(heads: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """The bytes of the data lines of a prediction file for ``heads``, the
+    bytes of the ids each followed by its comma, and the rows of ``block``."""
     with np.errstate(over="ignore"):
         scaled = block * _UNIT
     finite = np.isfinite(scaled)
@@ -241,6 +224,7 @@ def _format_block(ids: list[str], block: np.ndarray) -> np.ndarray:
     try:
         units = _units(scaled)
     except OverflowError:  # a row sum leaves the float range: name the first
+        ids = heads.tobytes().decode("utf-8").split(",")
         for sample_id, row in zip(ids, scaled.tolist()):
             try:
                 round(math.fsum(row))
@@ -249,21 +233,27 @@ def _format_block(ids: list[str], block: np.ndarray) -> np.ndarray:
                     f"row {sample_id!r} sums past the float range when printed with 9 decimals"
                 ) from None
         raise
-    return _emit(ids, units)
+    return _emit(heads, units)
 
 
-def write_predictions(path: str, ids: list[str], matrix: np.ndarray) -> None:
+def write_predictions(path: str, ids: typing.Sequence[str], matrix: np.ndarray) -> None:
+    """Write ``matrix`` with one row per id; ids that are not a
+    :class:`SampleIds` are checked by :meth:`SampleIds.of` first."""
     m = check_prediction_matrix(matrix)
     if len(ids) != m.shape[0]:
         raise ValueError(f"{len(ids)} ids for {m.shape[0]} rows")
-    ids = list(ids)
-    _check_ids(ids)
-    num_classes = m.shape[1]
+    if not isinstance(ids, SampleIds):
+        ids = SampleIds.of(ids)
+    heads = np.frombuffer(ids.data, np.uint8)
+    # id i and its comma are heads[bounds[i]:bounds[i + 1]]
+    bounds = np.append(0, np.flatnonzero(heads == ord(",")) + 1)
+    rows, num_classes = m.shape
     step = max(1, CHUNK_ELEMENTS // num_classes)
     with _atomic_write(path) as handle:
         handle.write(("id," + ",".join(f"c{j}" for j in range(num_classes)) + "\n").encode("utf-8"))
-        for start in range(0, len(ids), step):
-            handle.write(_format_block(ids[start:start + step], m[start:start + step]))
+        for start in range(0, rows, step):
+            stop = min(start + step, rows)
+            handle.write(_format_block(heads[bounds[start]:bounds[stop]], m[start:stop]))
 
 
 def _read_head(path: str) -> tuple[bytes, str]:
@@ -305,14 +295,15 @@ def _cell_layout(digits: int, decimals: int):
 
 
 def _one_layout_cells(data: bytes, start: int, stop: int, values_per_row: int):
-    """Ids, cell windows, first-digit slots, signs and id bytes of the lines
-    ``data[start:stop]`` when every line has the first line's byte length,
-    comma columns and one cell width, else None.
+    """Id bytes (each id and its comma), cell windows, first-digit slots,
+    signs and id items of the lines ``data[start:stop]`` when every line has
+    the first line's byte length, comma columns and one cell width, else
+    None.
 
     The lines are then a ``(rows, length)`` view of the bytes, and the
     windows, each cell with the comma before it, a strided view of that:
     only the newline column, the comma columns and the ids are checked here.
-    The id bytes are a strided view too, one ``S{id length}`` item per line.
+    The id items are a strided view too, one ``S{id length}`` item per line.
     """
     end = data.find(b"\n", start, stop)
     id_len = data.find(b",", start, end) - start
@@ -332,11 +323,11 @@ def _one_layout_cells(data: bytes, start: int, stop: int, values_per_row: int):
     # first line's slots serve every line and its keep masks are broadcast.
     first = 1 + (negative if negative.any() else negative[0])
     names = np.ndarray((len(lines),), f"S{id_len}", data, offset=start, strides=(length,))
-    return heads.decode("utf-8").split(",")[:-1], windows, first, negative, names
+    return heads, windows, first, negative, names
 
 
 def _scanned_cells(data: bytes, start: int, stop: int, values_per_row: int, limit: int):
-    """What :func:`_one_layout_cells` gives, but no id bytes, for lines of
+    """What :func:`_one_layout_cells` gives, but no id items, for lines of
     any layout: a scan for every ``,`` and ``\\n`` finds the cells, and each
     cell's window, as wide as the block's widest cell (capped at ``limit``
     bytes) plus a sign slot, is gathered from the bytes up to its delimiter.
@@ -352,15 +343,14 @@ def _scanned_cells(data: bytes, start: int, stop: int, values_per_row: int, limi
     kinds = block[delims]
     if not ((kinds[:, :-1] == ord(",")).all() and (kinds[:, -1] == ord("\n")).all()):
         return None
-    # Ids: the bytes from the newline before each line (one in the padding
-    # for the first) up to its first comma, split at those newlines.
-    block[limit - 1] = ord("\n")
-    id_starts = np.concatenate(([limit - 1], delims[:-1, -1]))
-    lengths = delims[:, 0] - id_starts
+    # Ids: the bytes past the newline before each line (or the block's
+    # start) up to and with its first comma.
+    id_starts = np.concatenate(([limit], delims[:-1, -1] + 1))
+    lengths = delims[:, 0] + 1 - id_starts
     if not (lengths > 1).all():  # an empty id
         return None
     spans = np.repeat(id_starts - (np.cumsum(lengths) - lengths), lengths)
-    block_ids = block[spans + np.arange(spans.size)].tobytes().decode("utf-8").split("\n")[1:]
+    heads = block[spans + np.arange(spans.size)].tobytes()
     ends = delims[:, 1:].ravel()
     starts = delims[:, :-1].ravel() + 1
     # a cell past the cap shows as one whose first digit is out of range
@@ -369,12 +359,12 @@ def _scanned_cells(data: bytes, start: int, stop: int, values_per_row: int, limi
     negative = block[starts] == ord("-")
     first = width - (ends - starts) + negative  # slot of each cell's first digit
     cells = windows[ends - width].view(np.uint8).reshape(-1, width)
-    return block_ids, cells, first, negative, None
+    return heads, cells, first, negative, None
 
 
 def _fixed_point_rows(data: bytes, start: int, values_per_row: int, decimals: int):
-    """Ids and values of the data lines ``data[start:]``, each an id and
-    ``values_per_row`` cells of the form ``-?\\d+`` followed, when
+    """:class:`SampleIds` and values of the data lines ``data[start:]``, each
+    an id and ``values_per_row`` cells of the form ``-?\\d+`` followed, when
     ``decimals`` > 0, by a point and exactly ``decimals`` digits, with at
     most :data:`_DOT_DIGITS` digits in all.  Values are float64 integers in
     units of ``10**-decimals``, -0.0 for a negative zero.  None when any
@@ -391,15 +381,15 @@ def _fixed_point_rows(data: bytes, start: int, values_per_row: int, decimals: in
     times the place-value vector of :func:`_cell_layout` give the block's
     magnitudes, which its signs then negate.
 
-    Ids that rise strictly as bytes are distinct, so a set of the ids looks
-    for a repeat only when some block is scanned, or when the ids of a view
-    do not rise from line to line and from the block before.
+    Each block's id bytes are kept as found and joined once.  Ids that
+    rise strictly as bytes are distinct, so a set of the ids looks for a
+    repeat only when some block is scanned, or when the ids of a view do
+    not rise from line to line and from the block before.
     """
     fraction = decimals + 1 if decimals else 0
     digits = _DOT_DIGITS - decimals  # integer digits
     limit = 1 + digits + fraction  # the widest cell: a sign, digits, point and decimals
-    ids: list[str] = []
-    values = []
+    heads, values = [], []
     ordered, last = True, b""
     while start < len(data):
         # whole lines; a last line without its newline fails the delimiter test
@@ -409,7 +399,7 @@ def _fixed_point_rows(data: bytes, start: int, values_per_row: int, decimals: in
                  or _scanned_cells(data, start, stop, values_per_row, limit))
         if found is None:
             return None
-        block_ids, windows, first, negative, names = found
+        block_heads, windows, first, negative, names = found
         width = windows.shape[-1]
         if not fraction < width - 1 <= limit:
             return None
@@ -426,7 +416,7 @@ def _fixed_point_rows(data: bytes, start: int, values_per_row: int, decimals: in
         cells &= keep[first].view(np.uint8).reshape(*first.shape, width)  # zero all but digits
         if cells.max() >= 10:
             return None
-        ids.extend(block_ids)
+        heads.append(block_heads)
         block = cells.reshape(-1, width).astype(np.float64) @ place
         values.append(np.negative(block, out=block, where=negative.ravel()))
         # ``S`` items of one length compare as their bytes
@@ -435,9 +425,12 @@ def _fixed_point_rows(data: bytes, start: int, values_per_row: int, decimals: in
         if ordered:
             last = names[-1:].tobytes()
         start = stop
-    if not ordered and len(set(ids)) < len(ids):
+    values = np.concatenate(values)
+    ids = b"".join(heads)
+    count = values.size // values_per_row
+    if not ordered and len(set(ids.split(b","))) <= count:  # the split's last item is b""
         return None
-    return ids, np.concatenate(values)
+    return SampleIds(ids, count), values
 
 
 def _parse_number(text: str, where: str) -> float:
@@ -459,10 +452,10 @@ def _parse_label(text: str, where: str) -> int:
     return label
 
 
-def _read_lines(path: str, data: bytes, width: int, parse) -> tuple[list[str], list]:
-    """Ids and values of the data lines of ``data``, each an id and
-    ``width - 1`` cells parsed by ``parse``, read line by line: the first bad
-    line raises its error, numbered as in the file."""
+def _read_lines(path: str, data: bytes, width: int, parse) -> tuple[SampleIds, list]:
+    """:class:`SampleIds` and values of the data lines of ``data``, each an
+    id and ``width - 1`` cells parsed by ``parse``, read line by line: the
+    first bad line raises its error, numbered as in the file."""
     lines = data.decode("utf-8").split("\n")
     if lines[-1] == "":
         lines.pop()
@@ -481,10 +474,10 @@ def _read_lines(path: str, data: bytes, width: int, parse) -> tuple[list[str], l
         seen.add(row[0])
         ids.append(row[0])
         values.extend([parse(text, where) for text in row[1:]])
-    return ids, values
+    return SampleIds((",".join(ids) + ",").encode("utf-8"), len(ids)), values
 
 
-def read_predictions(path: str) -> tuple[list[str], np.ndarray]:
+def read_predictions(path: str) -> tuple[SampleIds, np.ndarray]:
     data, header_line = _read_head(path)
     if not data:
         raise ValueError(f"{path}:1: empty prediction file")
@@ -508,11 +501,14 @@ def read_predictions(path: str) -> tuple[list[str], np.ndarray]:
     return ids, values.reshape(len(ids), num_classes)
 
 
-def write_labels(path: str, ids: list[str], labels: np.ndarray) -> None:
+def write_labels(path: str, ids: typing.Sequence[str], labels: np.ndarray) -> None:
+    """Write one label per id; ids that are not a :class:`SampleIds` are
+    checked by :meth:`SampleIds.of` first."""
     y = check_integers(labels)
     if len(ids) != y.shape[0]:
         raise ValueError(f"{len(ids)} ids for {y.shape[0]} labels")
-    _check_ids(list(ids))
+    if not isinstance(ids, SampleIds):
+        ids = SampleIds.of(ids)
     if y.size and y.min() < 0:
         raise ValueError("labels must be non-negative")
     if y.size and y.max() >= 2**63:
@@ -522,7 +518,10 @@ def write_labels(path: str, ids: list[str], labels: np.ndarray) -> None:
         handle.write(("id,label\n" + lines).encode("utf-8"))
 
 
-def read_labels(path: str) -> tuple[list[str], list[int]]:
+def read_labels(path: str) -> tuple[SampleIds, np.ndarray]:
+    """The ids and labels of a label file: int64 labels, or Python ints in
+    an object array when one is 2**63 or more (only the line reader meets
+    such a label)."""
     data, header = _read_head(path)
     if header != "id,label":
         raise ValueError(f"{path}:1: header must be 'id,label'")
@@ -531,8 +530,9 @@ def read_labels(path: str) -> tuple[list[str], list[int]]:
     fixed = _fixed_point_rows(data, len(header) + 1, 1, 0)
     # signed labels, -0 among them, and labels past 15 digits take the line reader
     if fixed is None or np.signbit(fixed[1]).any():
-        return _read_lines(path, data, 2, _parse_label)
-    return fixed[0], fixed[1].astype(np.int64).tolist()
+        ids, labels = _read_lines(path, data, 2, _parse_label)
+        return ids, np.array(labels, np.int64 if max(labels) < 2**63 else object)
+    return fixed[0], fixed[1].astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -224,6 +224,21 @@ def test_label_too_large_for_c_long_exits_2(tmp_path, capsys, command):
     assert "label 99999999999999999999 out of range for 2 prediction columns" in err
 
 
+@pytest.mark.parametrize("label", [2**63 - 1, 2**63, 2**64 + 1])
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+def test_label_past_int64_in_a_reordered_label_file_exits_2(tmp_path, capsys, command, label):
+    # the label file lists the ids in another order, so the labels are
+    # reordered before their range is named
+    preds, labels = str(tmp_path / "p.csv"), tmp_path / "l.csv"
+    write_predictions(preds, ["a", "b", "c"], np.full((3, 2), 0.5))
+    labels.write_text(f"id,label\nc,1\na,{label}\nb,0\n", encoding="utf-8")
+    argv = {"eval": ["eval", "--preds", preds],
+            "sweep": ["sweep", "--preds", preds, "--preds", preds]}[command]
+    assert main(argv + ["--labels", str(labels)]) == 2
+    err = capsys.readouterr().err
+    assert f"label {label} out of range for 2 prediction columns" in err
+
+
 def test_eval_parse_error_carries_line_number(tmp_path, capsys):
     preds = tmp_path / "p.csv"
     preds.write_text("id,c0,c1\na,0.5,x\n", encoding="utf-8")

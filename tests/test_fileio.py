@@ -1,5 +1,6 @@
 """Prediction/label CSV round-trips, config and manifest parsing."""
 
+import contextlib
 import json
 import math
 import os
@@ -19,6 +20,7 @@ from clskit.ensemble import EnsembleManifest, EnsembleMember
 from clskit.fileio import (
     DatasetSpec,
     RunConfig,
+    SampleIds,
     load_manifest,
     load_run_config,
     read_labels,
@@ -125,7 +127,7 @@ def test_labels_round_trip(tmp_path):
     write_labels(str(path), ids, np.array([0, 2, 1]))
     got_ids, got = read_labels(str(path))
     assert got_ids == ids
-    assert got == [0, 2, 1]
+    assert got.tolist() == [0, 2, 1]
     assert path.read_text(encoding="utf-8") == "id,label\na,0\nb,2\nc,1\n"
 
 
@@ -465,13 +467,15 @@ def oracle_read_labels(path):
 
 def outcome(read, path):
     """What a reader returns, or the message of the ValueError it raises;
-    values compare by their bits."""
+    float values compare by their bits, integer or object labels as a list."""
     try:
         ids, values = read(path)
     except ValueError as err:
         return "error", str(err)
-    if isinstance(values, np.ndarray):
+    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
         return ids, values.shape, values.tobytes()
+    if isinstance(values, np.ndarray):
+        return ids, values.tolist()
     return ids, values
 
 
@@ -1147,6 +1151,55 @@ def test_writers_check_ids_as_the_per_id_rule_does(scratch_csv, case):
                     write()
                     with open(scratch_csv, "rb") as handle:
                         assert handle.read() == expected.encode("utf-8")
+
+
+READER_PATHS = {
+    "kernel": contextlib.nullcontext,  # blocks viewed where their layout allows
+    "scanned": lambda: mock.patch.object(fileio, "_one_layout_cells", lambda *args: None),
+    "general": lambda: mock.patch.object(fileio, "_fixed_point_rows", lambda *args: None),
+}
+
+
+@settings(max_examples=100)
+@given(case=writer_id_lists(), chunk=chunk_sizes, twin_at=st.integers(0, 12))
+def test_written_ids_read_back_as_sample_ids_on_every_reader_path(scratch_csv, case, chunk,
+                                                                 twin_at):
+    # Ids both writers accept read back as SampleIds equal to the written
+    # list, whichever way the reader finds them, and write the same bytes
+    # again; equality is list equality, so ids that differ only by a
+    # trailing "\x00" are unequal.
+    ids = list(case[0])
+    if case[1] and len(ids) > 1:
+        ids[-1] = ids[0]
+    error = oracle_id_error(ids)
+    if error is not None:
+        with pytest.raises(ValueError) as info:
+            SampleIds.of(ids)
+        assert str(info.value) == error
+        return
+    twin = list(ids)
+    twin[twin_at % len(ids)] += "\x00"
+    matrix, labels = np.tile([0.25, 0.75], (len(ids), 1)), np.arange(len(ids)) % 3
+    again = scratch_csv + ".again"
+    for read, write in [(read_predictions, lambda path, ids: write_predictions(path, ids, matrix)),
+                        (read_labels, lambda path, ids: write_labels(path, ids, labels))]:
+        with mock.patch.object(fileio, "CHUNK_ELEMENTS", chunk):
+            write(scratch_csv, ids)
+            for name, path in READER_PATHS.items():
+                with path(), mock.patch.object(fileio, "_read_lines",
+                                               wraps=fileio._read_lines) as general:
+                    got = read(scratch_csv)[0]
+                assert general.call_count == (name == "general")
+                assert isinstance(got, SampleIds)
+                assert got == ids and ids == got and got == tuple(ids) and list(got) == ids
+                assert len(got) == len(ids) and got[-1] == ids[-1]
+                assert got != twin
+                for other in [ids, twin, ids[::-1]]:
+                    if oracle_id_error(other) is None:
+                        assert (got == SampleIds.of(other)) is (ids == other) is (got == other)
+                write(again, got)
+                with open(scratch_csv, "rb") as first, open(again, "rb") as second:
+                    assert first.read() == second.read()
 
 
 def test_write_predictions_rejects_values_too_large_to_print(tmp_path):
