@@ -29,14 +29,17 @@ positions), so its memory is that of one chunk however many points the grid
 has.  The top-1, top-5 and mean-class-accuracy objectives only compare fused
 values within a row, so the sweep filters before it sums exactly (the
 "filter, then exact" pattern of Shewchuk, "Adaptive Precision Floating-Point
-Arithmetic and Fast Robust Geometric Predicates", 1997): one matrix product
-per chunk gives a plain float value of every fused element and a bound on
-its distance from the correctly rounded one.  A row whose every class margin
-to the true class exceeds the two bounds is ranked by the floats; only the
-rest, the near ties, are fused exactly and ranked by the metrics' rule.
-Either way each point's score is the one :func:`fuse`'s output gets.  mAP
-and mAUC need the values themselves: they fuse every point exactly and score
-each chunk's points in one batched ranking.
+Arithmetic and Fast Robust Geometric Predicates", 1997): grid weights are
+non-negative and their rounded sum is at most 1 + 2**-53, so each element's
+largest member magnitude bounds how far a float fused value lies from the
+correctly rounded one at every point, and the bounds are worked out once per
+sweep.  One matrix product per chunk then gives every class's float margin
+to the true class.  A row whose every margin exceeds its pair of bounds is
+ranked by the floats; only the rest, the near ties, are fused exactly and
+ranked by the metrics' rule.  Either way each point's score is the one
+:func:`fuse`'s output gets.  mAP and mAUC need the values themselves: they
+fuse every point exactly and score each chunk's points in one batched
+ranking.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ OBJECTIVES = ("top1", "top5", "mca", "map", "mauc")
 _UNIT_ROUNDOFF = 2.0**-53
 _SMALLEST_SUBNORMAL = 2.0**-1074
 _VECSUM_PASSES = 2
-# Safety factor of the sweep filter's error bound (see _filter_values).
+# Safety factor of the sweep filter's error bounds (see _filter_bounds).
 _FILTER_FACTOR = 4.0
 
 
@@ -236,66 +239,56 @@ def _grid_chunks(total: int, parts: int, size: int):
             yield rows[start:start + size]
 
 
-def _filter_values(
-    weights: np.ndarray, flat: np.ndarray, abs_flat: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Plain float values ``f`` of the fused elements at the ``(G, M)`` weight
-    points over the ``(M, L)`` members ``flat``, and bounds ``b`` such that
-    :func:`fuse` gives a value within ``b`` of ``f``, element for element.
+def _filter_bounds(stack: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Bounds ``(C, n)``, class-major, on how far each class's float margin
+    to the true class may lie from the margin of what :func:`fuse` returns,
+    at every weight point of a sweep of the ``(M, n, C)`` members ``stack``.
 
     Fuse rounds each product ``w_k p_k`` and then the exact sum of the
-    products; ``f`` is a dot product in whatever order and with whatever
-    fused multiply-adds the matrix kernel uses.  With ``S = sum |w_k p_k|``,
-    the two differ by at most about ``(M + 2) u S + (M + 1) eta`` (unit
-    roundoff ``u``, smallest subnormal ``eta``, the underflow term).  The
-    factor 4 over ``M (u S + eta)`` leaves room for the rounding of ``S``, of
-    ``b`` itself and of the margins it is compared with.
+    products; the float value is a dot product in whatever order and with
+    whatever fused multiply-adds the matrix kernel uses.  With
+    ``S = sum |w_k p_k|`` the two differ by at most about
+    ``(M + 2) u S + (M + 1) eta`` (unit roundoff ``u``, smallest subnormal
+    ``eta``, the underflow term).  Grid weights are non-negative and their
+    rounded sum is at most ``1 + u``, so at every point ``S <= (1 + u) A``,
+    ``A`` the element's largest member magnitude.  An element's bound is
+    ``b = 4 M (u A + eta)``, and a pair's ``b_c + b_y``: for ``M >= 2`` the
+    factor ``4 M`` is at least twice ``M + 2``, which covers
+    ``(M + 2)(1 + u)**3`` (the weight sum and the rounding of ``b``) and
+    the rounding of the margins and of the pair sums.  An element with
+    ``A >= 2**1020`` gets an infinite bound, so no row whose floats could
+    overflow is ranked by them, and the true class gets ``-inf``: it is
+    always apart from itself.
     """
-    scale = _FILTER_FACTOR * len(flat)
-    bound = weights @ abs_flat
-    bound *= scale * _UNIT_ROUNDOFF
-    bound += scale * _SMALLEST_SUBNORMAL
-    return weights @ flat, bound
-
-
-def _filter_topk_rows(
-    f: np.ndarray, b: np.ndarray, y: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k hit masks ``(G, n)`` of the rows of class-major ``(G, C, n)``
-    float values ``f``, and the mask of the rows where they are proven to be
-    the hits of exact values that each lie within ``b`` of their ``f``.
-    Both inputs are overwritten in the process.
-
-    A row is proven when every other class's margin to the true class
-    exceeds the sum of their bounds, so that no exact values within the
-    bounds can tie or swap them, and when every ``f + b`` of the row is
-    finite (no overflow, here or in the exact sum).
-    """
-    num_classes, n = f.shape[1:]
-    at_target = y * n + np.arange(n)
-    finite = np.isfinite(f + b)
-    f -= f.reshape(len(f), -1)[:, at_target][:, None]  # the margins
-    b += b.reshape(len(b), -1)[:, at_target][:, None]
-    apart = np.abs(f) > b
-    apart |= np.arange(num_classes)[:, None] == y
-    apart &= finite
-    return np.count_nonzero(f > 0, axis=1) < k, apart.all(axis=1)
+    n = stack.shape[1]
+    largest = np.maximum(stack.max(axis=0), -stack.min(axis=0)).T
+    bound = _FILTER_FACTOR * len(stack) * (_UNIT_ROUNDOFF * largest + _SMALLEST_SUBNORMAL)
+    bound[largest >= 2.0**1020] = np.inf
+    target = y, np.arange(n)
+    pair = bound + bound[target]
+    pair[target] = -np.inf
+    return pair
 
 
 def _sweep_topk_rows(
-    weights: np.ndarray, stack: np.ndarray, flat: np.ndarray, abs_flat: np.ndarray,
+    weights: np.ndarray, stack: np.ndarray, flat: np.ndarray, pair: np.ndarray,
     y: np.ndarray, k: int,
 ) -> np.ndarray:
     """``(G, n)`` top-k hit masks of what :func:`fuse` returns at each of the
     G weight points for the ``(M, n, C)`` members ``stack``, whose values
-    ``flat`` holds class-major: the float filter decides the rows it
-    proves, and the rest are fused exactly."""
+    ``flat`` holds class-major.
+
+    One matrix product gives every class's float margin to the true class.
+    A row whose every margin exceeds its bound in ``pair`` (from
+    :func:`_filter_bounds`) is ranked by its margins, as no exact values
+    within the bounds can tie or swap; the rest are fused exactly.
+    """
     m, n, num_classes = stack.shape
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows go exact
-        f, b = _filter_values(weights, flat, abs_flat)
-        hits, proven = _filter_topk_rows(
-            f.reshape(-1, num_classes, n), b.reshape(-1, num_classes, n), y, k
-        )
+    with np.errstate(over="ignore", invalid="ignore"):  # rows of huge values go exact
+        margins = (weights @ flat).reshape(len(weights), num_classes, n)
+        margins -= margins[:, y, np.arange(n)][:, None]
+        hits = np.count_nonzero(margins > 0, axis=1) < k
+        proven = (np.abs(margins, out=margins) > pair).all(axis=1)
     points, rows = np.nonzero(~proven)
     step = max(1, CHUNK_ELEMENTS // (m * num_classes))
     for start in range(0, points.size, step):
@@ -348,10 +341,10 @@ def sweep_weights(
         k = min(5, num_classes) if objective == "top5" else 1
         points_per_chunk = max(1, CHUNK_ELEMENTS // (n * num_classes))
         flat = stack.transpose(0, 2, 1).reshape(m, -1)
-        abs_flat = np.abs(flat)
+        pair = _filter_bounds(stack, y)
 
         def score_chunk(weights):
-            hits = _sweep_topk_rows(weights, stack, flat, abs_flat, y, k)
+            hits = _sweep_topk_rows(weights, stack, flat, pair, y, k)
             if objective == "mca":
                 return _class_accuracy(hits, y, num_classes)
             return np.count_nonzero(hits, axis=1) / n

@@ -65,7 +65,8 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
         raise ValueError("logits must be a 2-D matrix with at least 2 columns")
     if not np.isfinite(z).all():
         raise ValueError("logits must be finite")
-    shifted = z - z.max(axis=1, keepdims=True)
+    with np.errstate(over="ignore"):  # a row past the float range shifts to -inf
+        shifted = z - z.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
 

@@ -332,6 +332,27 @@ def test_fuse_output_too_large_to_print_exits_2_and_writes_nothing(tmp_path, cap
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv", "manifest.json"]
 
 
+@pytest.mark.filterwarnings("error")
+def test_logit_rows_past_the_float_range_fuse_and_sweep_without_a_warning(tmp_path, capsys):
+    # softmax shifts such a row by its maximum, which overflows to -inf
+    (tmp_path / "a.csv").write_text("id,c0,c1,c2\na,1.7e308,-1.7e308,1\nb,0.5,1,2\n",
+                                    encoding="utf-8")
+    (tmp_path / "b.csv").write_text("id,c0,c1,c2\na,1,2,3\nb,-1.7e308,1.7e308,0\n",
+                                    encoding="utf-8")
+    (tmp_path / "l.csv").write_text("id,label\na,0\nb,1\n", encoding="utf-8")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(
+        json.dumps({"members": [{"path": "a.csv", "weight": 0.5},
+                                {"path": "b.csv", "weight": 0.5}], "score_type": "logit"}),
+        encoding="utf-8",
+    )
+    assert main(["fuse", "--manifest", str(manifest), "--out", str(tmp_path / "f.csv")]) == 0
+    assert main(["sweep", "--preds", str(tmp_path / "a.csv"), "--preds", str(tmp_path / "b.csv"),
+                 "--labels", str(tmp_path / "l.csv"), "--score-type", "logit",
+                 "--resolution", "4", "--json"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("out, code", [("missing_dir/x.csv", errno.ENOENT),
                                        ("a_dir", errno.EISDIR)])
 def test_a_failed_write_names_the_target_and_leaves_nothing(tmp_path, capsys, out, code):

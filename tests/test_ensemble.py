@@ -18,9 +18,9 @@ from clskit.ensemble import (
     EnsembleManifest,
     EnsembleMember,
     _exact_sum,
-    _filter_topk_rows,
-    _filter_values,
+    _filter_bounds,
     _grid_chunks,
+    _sweep_topk_rows,
     fuse,
     sweep_weights,
 )
@@ -393,42 +393,67 @@ def filter_cases(draw):
 @settings(max_examples=300)
 @given(filter_cases())
 def test_filter_bound_holds_fuses_value(case):
+    # the members' values are the classes of one row, each the true class in turn
     weights, flat = case
-    f, b = _filter_values(weights, flat, np.abs(flat))
+    stack = flat[:, None, :]
     exact = _exact_sum(weights.T[:, :, None] * flat[:, None])
-    for got, bound, want in zip(f.ravel(), b.ravel(), exact.ravel()):
-        if math.isfinite(got + bound):
-            assert abs(Fraction(got) - Fraction(want)) <= Fraction(bound)
+    f = weights @ flat
+    for target in range(flat.shape[1]):
+        pair = _filter_bounds(stack, np.array([target]))[:, 0]
+        margins = f - f[:, [target]]
+        for point, row in enumerate(margins):
+            for c in range(len(row)):
+                if c == target:  # apart from itself by definition
+                    continue
+                want = Fraction(exact[point, c]) - Fraction(exact[point, target])
+                assert abs(Fraction(row[c]) - want) <= Fraction(pair[c])
+                if abs(row[c]) > pair[c]:
+                    assert want != 0 and (want > 0) == (row[c] > 0)
 
 
+def exact_rows(stack, y, weights):
+    """Whether the top-1 sweep at the one weight point ``weights`` fuses each
+    row of ``stack`` exactly, the rows swept one at a time; and the hits."""
+    went, hits = [], []
+    for i in range(stack.shape[1]):
+        row = stack[:, [i]]
+        flat = row.transpose(0, 2, 1).reshape(len(row), -1)
+        with counting_exact_sums() as calls:
+            hit = _sweep_topk_rows(
+                np.array([weights]), row, flat, _filter_bounds(row, y[[i]]), y[[i]], 1
+            )
+        went.append(bool(calls))
+        hits.append(bool(hit[0, 0]))
+    return went, hits
+
+
+@pytest.mark.filterwarnings("error")
 def test_filter_proves_only_margins_beyond_the_bounds():
-    # one point, class-major: classes 0-2 of rows 0-2, true class 1 each
-    f = np.array([[[0.5, 0.75, 0.5], [0.75, 0.75, 0.75], [0.25, 0.25, 0.25]]])
-    b = np.full_like(f, 0.125)
-    b[0, 0, 2] = 0.0625
+    # member 1 holds the values (all the weight); member 0's magnitudes set
+    # the bounds: 2**47 gives 4 * 2 * 2**-53 * 2**47 = 0.125 and 2**46 0.0625
+    values = np.array([[0.5, 0.75, 0.25], [0.75, 0.75, 0.25], [0.5, 0.75, 0.25]])
+    scale = np.full_like(values, 2.0**47)
+    scale[2, 0] = 2.0**46
     y = np.array([1, 1, 1])
-    hits, proven = _filter_topk_rows(f.copy(), b.copy(), y, 1)
+    went, hits = exact_rows(np.stack([scale, values]), y, [0.0, 1.0])
     # row 0: margin 0.25 equals the bounds' sum; row 1: class 0 ties the
     # target; row 2: margins 0.25 and 0.5 exceed 0.1875 and 0.25
-    assert proven.tolist() == [[False, False, True]]
-    assert hits[0, 2]
-    narrow = b.copy()
-    narrow[0, :2, 0] = np.nextafter(0.125, 0.0)  # sum 0.25 - 2**-55
-    assert _filter_topk_rows(f.copy(), narrow, y, 1)[1].tolist() == [[True, False, True]]
-    # a non-finite value or bound, or an f + b that overflows, leaves the
-    # row to the exact path
-    infinite = f.copy()
-    infinite[0, 0, 2] = np.inf
-    assert not _filter_topk_rows(infinite, b.copy(), y, 1)[1][0, 2]
-    wide = b.copy()
-    wide[0, 2, 2] = np.inf
-    assert not _filter_topk_rows(f.copy(), wide, y, 1)[1][0, 2]
-    big, big_bound = f.copy(), b.copy()
-    big[0, 1, 2], big_bound[0, 1, 2] = 1.7e308, 1e307
-    with np.errstate(over="ignore"):
-        assert not _filter_topk_rows(big.copy(), big_bound.copy(), y, 1)[1][0, 2]
-    big_bound[0, 1, 2] = 1e300  # 1.7e308 + 1e300 is finite
-    assert _filter_topk_rows(big, big_bound, y, 1)[1][0, 2]
+    assert went == [True, True, False]
+    assert hits[2]
+    narrow = scale.copy()
+    narrow[0, :2] = np.nextafter(2.0**47, 0.0)  # bounds 0.125 - 2**-56, sum below 0.25
+    assert exact_rows(np.stack([narrow, values]), y, [0.0, 1.0])[0] == [False, True, False]
+    # a non-finite value, or one of 2**1020 or more, leaves its row to the
+    # exact path: a 1.7e308 whose float bound was 1e300 used to be proven
+    huge = np.array([[[np.inf, 1.0, 0.0], [np.nan, 1.0, 0.0], [1.7e308, 1.0, 0.0],
+                      [2.0**1020, 1.0, 0.0], [np.nextafter(2.0**1020, 0.0), 1.0, 0.0]]])
+    pair = _filter_bounds(huge, np.ones(5, dtype=int))
+    assert not (pair[0, :4] < np.inf).any() and np.isfinite(pair[0, 4])  # inf or NaN
+    assert (pair[1] == -np.inf).all() and np.isfinite(pair[2]).all()
+    big = values.copy()
+    big[2, 1] = 1.7e308
+    went, hits = exact_rows(np.stack([np.zeros_like(big), big]), y, [0.0, 1.0])
+    assert went == [False, True, True] and hits[2]
 
 
 TINY = 5e-324
@@ -453,7 +478,7 @@ def tie_heavy_sweeps(draw):
     def row():
         kind = draw(st.sampled_from(["coarse", "ulp", "subnormal", "huge"]))
         if kind == "huge" and num_classes >= 3:
-            h = draw(st.sampled_from([1e300, -1e300, 2.0**1000]))
+            h = draw(st.sampled_from([1e300, -1e300, 2.0**1000, 1.7e308, -1.7e308]))
             return np.concatenate([[h, -h], coarse(num_classes - 2)])
         if kind == "subnormal":
             j = draw(st.integers(0, num_classes - 1))
@@ -494,11 +519,19 @@ def counting_exact_sums():
         yield calls
 
 
+FLOAT_MAX_ROW = [1.7e308, -1.7e308, 1.0]
+FLOAT_MAX_MEMBERS = [np.array([FLOAT_MAX_ROW, [0.5, 0.25, 0.25]]),
+                     np.array([[0.25, 0.5, 0.25], FLOAT_MAX_ROW])]
+
+
+@pytest.mark.filterwarnings("error")  # float-max rows overflow the filter's floats
 def test_filtered_sweep_matches_brute_force_on_near_ties():
     fell_back = []
 
     @settings(max_examples=150)
     @given(tie_heavy_sweeps(), st.sampled_from([ensemble.CHUNK_ELEMENTS, 50]))
+    @example((FLOAT_MAX_MEMBERS, np.array([1, 0]), 4, "prob"), ensemble.CHUNK_ELEMENTS)
+    @example((FLOAT_MAX_MEMBERS, np.array([0, 2]), 4, "logit"), ensemble.CHUNK_ELEMENTS)
     def check(case, chunk):
         members, labels, resolution, score_type = case
         for objective in ("top1", "top5", "mca"):
@@ -527,6 +560,17 @@ def test_filter_decides_every_row_without_near_ties():
         with counting_exact_sums() as calls:
             sweep_weights(members, labels, 6, objective)
         assert calls == []
+
+
+def test_top1_sweep_of_random_probabilities_fuses_no_row_exactly():
+    # a bound loose enough to send every row exact would leave every answer
+    # right, so only this count shows it
+    rng = np.random.default_rng(37)
+    members = [rng.dirichlet(np.ones(4), size=300) for _ in range(4)]
+    labels = rng.integers(0, 4, size=300)
+    with counting_exact_sums() as calls:
+        sweep_weights(members, labels, 20)
+    assert calls == []
 
 
 def test_sweep_prefers_strictly_dominant_member():

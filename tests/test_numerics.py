@@ -78,6 +78,14 @@ def test_softmax_rows_matches_softmax_at_scale():
     assert softmax_rows(logits).tobytes() == expected.tobytes()
 
 
+@pytest.mark.filterwarnings("error")
+def test_softmax_rows_of_a_row_past_the_float_range_warns_nothing():
+    # the shift -1.7e308 - 1.7e308 overflows to -inf, and exp(-inf) is 0
+    p = softmax_rows(np.array([[1.7e308, -1.7e308, 1.0], [1.0, 2.0, 3.0]]))
+    assert p[0].tolist() == [1.0, 0.0, 0.0]
+    assert p[1].tobytes() == softmax(np.array([1.0, 2.0, 3.0])).tobytes()
+
+
 def test_softmax_rows_rejects_bad_input():
     with pytest.raises(ValueError, match="logits must be finite"):
         softmax_rows(np.array([[0.0, np.inf], [1.0, 2.0]]))
