@@ -33,13 +33,16 @@ Arithmetic and Fast Robust Geometric Predicates", 1997): grid weights are
 non-negative and their rounded sum is at most 1 + 2**-53, so each element's
 largest member magnitude bounds how far a float fused value lies from the
 correctly rounded one at every point, and the bounds are worked out once per
-sweep.  One matrix product per chunk then gives every class's float margin
-to the true class.  A row whose every margin exceeds its pair of bounds is
-ranked by the floats; only the rest, the near ties, are fused exactly and
-ranked by the metrics' rule.  Either way each point's score is the one
-:func:`fuse`'s output gets.  mAP and mAUC need the values themselves: they
-fuse every point exactly and score each chunk's points in one batched
-ranking.
+sweep.  Rows that every member ranks alike by more than twice those bounds
+rank alike at every point too, so they are settled once per sweep as sure
+hits or sure misses and counted, not scored point by point (the root box of
+Land and Doig's branch and bound, Econometrica 1960).  One matrix product
+per chunk then gives every open row's float margin of each class to the
+true class.  A row whose every margin exceeds its pair of bounds is ranked
+by the floats; only the rest, the near ties, are fused exactly and ranked by
+the metrics' rule.  Either way each point's score is the one :func:`fuse`'s
+output gets.  mAP and mAUC need the values themselves: they fuse every
+point exactly and score each chunk's points in one batched ranking.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from typing import Sequence
 import numpy as np
 
 # topk_accuracy goes unused here; perfbench's tracer times it under this name
-from .metrics import _class_accuracy, _ranking_means, _true_class_rank, topk_accuracy  # noqa: F401
+from .metrics import _mean_recall, _ranking_means, _true_class_rank, topk_accuracy  # noqa: F401
 from .numerics import CHUNK_ELEMENTS, check_labels, check_prediction_matrix, softmax_rows
 
 SCORE_TYPES = ("prob", "logit")
@@ -124,7 +127,9 @@ def _check_members(preds: Sequence[np.ndarray], score_type: str) -> list[np.ndar
         mats = [softmax_rows(m) for m in mats]
     else:
         for k, m in enumerate(mats):
-            if np.any(np.abs(m.sum(axis=1) - 1.0) > PROB_ROW_TOL):
+            with np.errstate(over="ignore", invalid="ignore"):  # huge rows sum to inf or NaN
+                sums = m.sum(axis=1)
+            if not np.all(np.abs(sums - 1.0) <= PROB_ROW_TOL):
                 raise ValueError(f"member {k} rows must sum to 1 (score_type=prob)")
     return mats
 
@@ -270,6 +275,44 @@ def _filter_bounds(stack: np.ndarray, y: np.ndarray) -> np.ndarray:
     return pair
 
 
+def _settled_rows(
+    flat: np.ndarray, pair: np.ndarray, y: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Masks ``(n,)`` of the rows that :func:`fuse` ranks top-k at every
+    weight point of a sweep, and of those it ranks below the top k at every
+    point, for the members ``flat`` (``(M, C n)``, class-major) and the pair
+    bounds ``pair`` from :func:`_filter_bounds`.
+
+    Class c is surely below the true class y when every member puts it there
+    by more than twice the pair bound: ``D_k = fl(p_k[c] - p_k[y]) < -2
+    pair``.  Rounding is monotone and ``2 pair`` is exact, so the exact
+    difference ``d_k`` is below ``-2 pair`` too.  Each grid weight is
+    ``fl(j / R)``, non-negative and at least ``(1 - u) j / R``, so the
+    weights sum to at least ``1 - u`` and the exact margin ``E = sum w_k d_k``
+    is below ``-2 (1 - u) pair``.  What fuse returns lies within two
+    roundings of each exact weighted sum, less than the float product's
+    error that ``pair`` covers, so fuse's margin is below ``E + pair < 0``:
+    c ranks strictly below y, whatever their indices.  ``D_k > 2 pair`` for
+    every k puts c strictly above y the same way.  A row with at most k
+    classes not surely below, the true class one of them, is a sure hit; a
+    row with at least k classes surely above is a sure miss.  The true
+    class, infinite bounds and NaN margins settle nothing.  The members go
+    one at a time, so no ``(M, C, n)`` array is made.
+    """
+    n = len(y)
+    target = y, np.arange(n)
+    twice = 2 * pair
+    twice[target] = np.nan  # neither below nor above itself
+    below = np.ones(twice.shape, dtype=bool)
+    above = below.copy()
+    with np.errstate(over="ignore", invalid="ignore"):  # huge values settle nothing
+        for values in flat.reshape(len(flat), -1, n):
+            margins = values - values[target]
+            below &= margins < -twice
+            above &= margins > twice
+    return np.count_nonzero(~below, axis=0) <= k, np.count_nonzero(above, axis=0) >= k
+
+
 def _sweep_topk_rows(
     weights: np.ndarray, stack: np.ndarray, flat: np.ndarray, pair: np.ndarray,
     y: np.ndarray, k: int,
@@ -338,16 +381,27 @@ def sweep_weights(
             fused = _exact_sum(weights.T[:, :, None, None] * stack[:, None])
             return _ranking_means(fused, y, objective)[0]
     else:
+        # Rows settled at every point are counted once; the open rest is
+        # ranked point by point.
         k = min(5, num_classes) if objective == "top5" else 1
-        points_per_chunk = max(1, CHUNK_ELEMENTS // (n * num_classes))
         flat = stack.transpose(0, 2, 1).reshape(m, -1)
         pair = _filter_bounds(stack, y)
+        sure_hit, sure_miss = _settled_rows(flat, pair, y, k)
+        open_rows = ~(sure_hit | sure_miss)
+        stack, pair, y_open = stack[:, open_rows], pair[:, open_rows], y[open_rows]
+        flat = flat.reshape(m, num_classes, n)[:, :, open_rows].reshape(m, -1)
+        points_per_chunk = max(1, CHUNK_ELEMENTS // max(1, y_open.size * num_classes))
+        totals = np.bincount(y, minlength=num_classes)
+        present = np.flatnonzero(totals)
+        classes = y_open == present[:, None]
+        settled = np.bincount(y[sure_hit], minlength=num_classes)[present]  # hits per class
 
         def score_chunk(weights):
-            hits = _sweep_topk_rows(weights, stack, flat, pair, y, k)
+            hits = _sweep_topk_rows(weights, stack, flat, pair, y_open, k)
             if objective == "mca":
-                return _class_accuracy(hits, y, num_classes)
-            return np.count_nonzero(hits, axis=1) / n
+                correct = np.count_nonzero(hits[:, None] & classes, axis=-1)
+                return _mean_recall(correct + settled, totals[present])
+            return (np.count_nonzero(hits, axis=1) + np.count_nonzero(sure_hit)) / n
     if _identical(mats):
         # Every point fuses to mats[0] exactly, so all tie and the first, all
         # weight on the last member, wins.

@@ -104,12 +104,18 @@ def _true_class_rank(scores: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _class_accuracy(hits: np.ndarray, y: np.ndarray, num_classes: int) -> np.ndarray:
     """Mean over the classes present in ``y`` of the share of their rows that
-    ``(..., n)`` hit masks mark: each recall is a ratio of exact integer
-    counts, and the recalls are summed in class order, one after another."""
+    ``(..., n)`` hit masks mark."""
     totals = np.bincount(y, minlength=num_classes)
     present = np.flatnonzero(totals)
     correct = np.count_nonzero(hits[..., None, :] & (y == present[:, None]), axis=-1)
-    return np.cumsum(correct / totals[present], axis=-1)[..., -1] / present.size
+    return _mean_recall(correct, totals[present])
+
+
+def _mean_recall(correct: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """Mean of the recalls ``correct / totals`` along the last (class) axis:
+    each recall is a ratio of exact integer counts, and the recalls are
+    summed in class order, one after another."""
+    return np.cumsum(correct / totals, axis=-1)[..., -1] / totals.size
 
 
 def topk_accuracy(preds: np.ndarray, labels: np.ndarray, k: int) -> float:

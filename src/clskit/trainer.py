@@ -182,9 +182,10 @@ def predict(model: BackboneHead, dataset: FeatureDataset) -> np.ndarray:
         )
     out = np.empty((dataset.n, dataset.num_classes))
     rows = max(1, CHUNK_ELEMENTS // model.backbone.shape[0])
-    for start in range(0, dataset.n, rows):
-        _, logits = _layers(model, dataset.features[start : start + rows])
-        out[start : start + rows] = softmax_rows(logits)
+    with np.errstate(over="ignore", invalid="ignore"):  # softmax_rows rejects overflow
+        for start in range(0, dataset.n, rows):
+            _, logits = _layers(model, dataset.features[start : start + rows])
+            out[start : start + rows] = softmax_rows(logits)
     return out
 
 
@@ -217,40 +218,45 @@ def train(
     widest = max(train_set.dims, train_set.num_classes)
     block = batch_size * max(1, CHUNK_ELEMENTS // (batch_size * widest))
     records = []
-    for epoch in range(config.epochs):
-        lr = lr_at(config.schedule, epoch)
-        order = make_rng(_SHUFFLE_TAG, config.seed, epoch).permutation(n)
-        loss_total = 0.0
-        for block_start in range(0, n, block):
-            rows = order[block_start : block_start + block]
-            block_x = train_set.features[rows]
-            block_terms = label_terms(train_set.labels[rows], train_set.num_classes, config.loss)
-            for start in range(0, len(rows), batch_size):
-                stop = start + batch_size
-                x = block_x[start:stop]
-                hidden, logits = _layers(model, x)
-                try:
-                    probs = softmax_rows(logits)
-                except ValueError as exc:  # diverged: say where
-                    raise ValueError(
-                        f"epoch {epoch} batch {(block_start + start) // batch_size}: {exc}"
-                    ) from None
-                terms = tuple([t[start:stop] for t in block_terms])
-                losses, g_logits = loss_kernel(probs, terms, config.loss)
-                loss_total += float(losses.sum())
-                grad_backbone = None
-                if not frozen:
-                    g_hidden = np.where(hidden > 0.0, g_logits @ model.head_weights, 0.0)
-                    grad_backbone = g_hidden.T @ x
-                size = len(x)
-                model.head_weights = model.head_weights - lr * ((g_logits.T @ hidden) / size)
-                model.head_bias = model.head_bias - lr * (g_logits.sum(axis=0) / size)
-                if grad_backbone is not None:
-                    model.backbone = model.backbone - lr * (grad_backbone / size)
-        try:
-            val_probs = predict(model, val_set)
-        except ValueError as exc:  # the epoch's last update diverged
-            raise ValueError(f"epoch {epoch} validation: {exc}") from None
-        val_top1 = topk_accuracy(val_probs, val_set.labels, 1)
-        records.append(EpochRecord(epoch, lr, loss_total / n, val_top1))
+    # A diverging run's products may overflow; softmax_rows then rejects the
+    # non-finite logits and names the batch, so the warnings would add nothing.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            lr = lr_at(config.schedule, epoch)
+            order = make_rng(_SHUFFLE_TAG, config.seed, epoch).permutation(n)
+            loss_total = 0.0
+            for block_start in range(0, n, block):
+                rows = order[block_start : block_start + block]
+                block_x = train_set.features[rows]
+                block_terms = label_terms(
+                    train_set.labels[rows], train_set.num_classes, config.loss
+                )
+                for start in range(0, len(rows), batch_size):
+                    stop = start + batch_size
+                    x = block_x[start:stop]
+                    hidden, logits = _layers(model, x)
+                    try:
+                        probs = softmax_rows(logits)
+                    except ValueError as exc:  # diverged: say where
+                        raise ValueError(
+                            f"epoch {epoch} batch {(block_start + start) // batch_size}: {exc}"
+                        ) from None
+                    terms = tuple([t[start:stop] for t in block_terms])
+                    losses, g_logits = loss_kernel(probs, terms, config.loss)
+                    loss_total += float(losses.sum())
+                    grad_backbone = None
+                    if not frozen:
+                        g_hidden = np.where(hidden > 0.0, g_logits @ model.head_weights, 0.0)
+                        grad_backbone = g_hidden.T @ x
+                    size = len(x)
+                    model.head_weights = model.head_weights - lr * ((g_logits.T @ hidden) / size)
+                    model.head_bias = model.head_bias - lr * (g_logits.sum(axis=0) / size)
+                    if grad_backbone is not None:
+                        model.backbone = model.backbone - lr * (grad_backbone / size)
+            try:
+                val_probs = predict(model, val_set)
+            except ValueError as exc:  # the epoch's last update diverged
+                raise ValueError(f"epoch {epoch} validation: {exc}") from None
+            val_top1 = topk_accuracy(val_probs, val_set.labels, 1)
+            records.append(EpochRecord(epoch, lr, loss_total / n, val_top1))
     return model, TrainLog(tuple(records))

@@ -353,6 +353,47 @@ def test_logit_rows_past_the_float_range_fuse_and_sweep_without_a_warning(tmp_pa
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.filterwarnings("error")
+def test_prob_rows_past_the_float_range_fail_with_one_error_line(tmp_path, capsys):
+    # the row's float sum overflows; its exact sum, 1.7e308, is not 1 either
+    (tmp_path / "a.csv").write_text("id,c0,c1,c2\na,1.7e308,1.7e308,-1.7e308\nb,0.5,0.25,0.25\n",
+                                    encoding="utf-8")
+    (tmp_path / "b.csv").write_text("id,c0,c1,c2\na,0.5,0.25,0.25\nb,0.5,0.25,0.25\n",
+                                    encoding="utf-8")
+    (tmp_path / "l.csv").write_text("id,label\na,0\nb,1\n", encoding="utf-8")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(
+        json.dumps({"members": [{"path": "a.csv", "weight": 0.5},
+                                {"path": "b.csv", "weight": 0.5}]}),
+        encoding="utf-8",
+    )
+    for argv in (["fuse", "--manifest", str(manifest), "--out", str(tmp_path / "f.csv")],
+                 ["sweep", "--preds", str(tmp_path / "a.csv"), "--preds",
+                  str(tmp_path / "b.csv"), "--labels", str(tmp_path / "l.csv")]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: member 0 rows must sum to 1 (score_type=prob)\n"
+        assert captured.out == ""
+    assert not (tmp_path / "f.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("key, value", [("base_lr", 1.7e308), ("separation", 1e300)])
+def test_training_past_the_float_range_fails_with_one_error_line(tmp_path, capsys, key, value):
+    with open(os.path.join(os.path.dirname(__file__), "..", "configs", "stage1.json"),
+              encoding="utf-8") as handle:
+        doc = json.load(handle)
+    (doc["dataset"] if key == "separation" else doc)[key] = value
+    config = tmp_path / "stage1.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["train", "--config", str(config), "--out-train", str(tmp_path / "t.csv"),
+            "--out-val", str(tmp_path / "v.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: epoch 0 ") and err.endswith(": logits must be finite\n")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("out, code", [("missing_dir/x.csv", errno.ENOENT),
                                        ("a_dir", errno.EISDIR)])
 def test_a_failed_write_names_the_target_and_leaves_nothing(tmp_path, capsys, out, code):

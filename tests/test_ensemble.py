@@ -20,6 +20,7 @@ from clskit.ensemble import (
     _exact_sum,
     _filter_bounds,
     _grid_chunks,
+    _settled_rows,
     _sweep_topk_rows,
     fuse,
     sweep_weights,
@@ -571,6 +572,95 @@ def test_top1_sweep_of_random_probabilities_fuses_no_row_exactly():
     with counting_exact_sums() as calls:
         sweep_weights(members, labels, 20)
     assert calls == []
+
+
+# -- rows settled once per sweep ---------------------------------------------
+
+def exact_rank(row, target):
+    """The rank of ``target`` in one row of values by the metrics' rule,
+    compared as exact rationals."""
+    value = Fraction(row[target])
+    return sum(Fraction(v) > value or (Fraction(v) == value and c < target)
+               for c, v in enumerate(row))
+
+
+@settings(max_examples=300)
+@given(filter_cases())
+def test_settled_rows_rank_alike_at_every_point(case):
+    # the members' values are the classes of one row, each the true class in turn
+    weights, flat = case
+    exact = _exact_sum(weights.T[:, :, None] * flat[:, None])
+    for target in range(flat.shape[1]):
+        y = np.array([target])
+        pair = _filter_bounds(flat[:, None, :], y)
+        ranks = [exact_rank(row, target) for row in exact]
+        for k in range(1, flat.shape[1] + 1):
+            hit, miss = _settled_rows(flat, pair, y, k)
+            assert not (hit[0] and miss[0])
+            if hit[0]:
+                assert max(ranks) < k
+            if miss[0]:
+                assert min(ranks) >= k
+
+
+@settings(max_examples=150)
+@given(tie_heavy_sweeps())
+@example((FLOAT_MAX_MEMBERS, np.array([1, 0]), 4, "prob"))
+@example((FLOAT_MAX_MEMBERS, np.array([0, 2]), 4, "logit"))
+def test_settled_rows_hit_alike_at_every_point_of_the_brute_force_fuse(case):
+    members, labels, resolution, score_type = case
+    stack = np.stack(ensemble._check_members(members, score_type))
+    m, n, num_classes = stack.shape
+    flat = stack.transpose(0, 2, 1).reshape(m, -1)
+    pair = _filter_bounds(stack, labels)
+    fused = [fuse(members, np.array(point) / resolution, score_type)
+             for point in _compositions(resolution, m)]
+    for k in range(1, num_classes + 1):
+        hit, miss = _settled_rows(flat, pair, labels, k)
+        for i in np.flatnonzero(hit | miss):
+            assert all(topk_accuracy(f[[i]], labels[[i]], k) == hit[i] for f in fused)
+
+
+def test_a_row_settles_only_beyond_twice_its_pair_bound():
+    # two equal members hold 1 - j 2**-53 and 1: each element's bound is
+    # 2**-50 times its value, so the pair bound is just under 2**-49, and the
+    # margin j 2**-53 is beyond twice it from j = 32 on (beyond the bound
+    # itself from j = 16 on)
+    for j in range(24, 40):
+        stack = np.array([[[1.0 - j * 2.0**-53, 1.0]]] * 2)
+        flat = stack.transpose(0, 2, 1).reshape(2, -1)
+        for target in (0, 1):
+            y = np.array([target])
+            hit, miss = _settled_rows(flat, _filter_bounds(stack, y), y, 1)
+            beyond = j >= 32
+            assert (hit[0], miss[0]) == ((beyond, False) if target else (False, beyond))
+
+
+def test_sweep_ranks_only_the_rows_its_root_leaves_open():
+    # a settle rule that settles nothing changes no answer, so only a count
+    # shows it: four members scattered around one Dirichlet row each, as
+    # stages of one model are, with labels drawn from that row
+    rng = np.random.default_rng(38)
+    base = rng.dirichlet(np.ones(4), size=300)
+    labels = np.array([rng.choice(4, p=p) for p in base])
+    members = [np.stack([rng.dirichlet(10 * p + 0.1) for p in base]) for _ in range(4)]
+    stack = np.stack(members)
+    hit, miss = _settled_rows(stack.transpose(0, 2, 1).reshape(4, -1),
+                              _filter_bounds(stack, labels), labels, 1)
+    assert hit.any() and miss.any() and np.count_nonzero(hit | miss) >= 0.2 * 300
+    ranked = []
+    real = ensemble._sweep_topk_rows
+
+    def recording(weights, stack, flat, pair, y, k):
+        ranked.append(y.size)
+        return real(weights, stack, flat, pair, y, k)
+
+    with mock.patch.object(ensemble, "_sweep_topk_rows", recording):
+        for objective in ("top1", "mca"):
+            weights, score = sweep_weights(members, labels, 6, objective)
+            want_weights, want_score = reference_sweep(members, labels, 6, objective)
+            assert np.array_equal(bits(weights), bits(want_weights)) and score == want_score
+    assert set(ranked) == {300 - np.count_nonzero(hit | miss)}
 
 
 def test_sweep_prefers_strictly_dominant_member():
