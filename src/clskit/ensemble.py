@@ -43,6 +43,11 @@ by the floats; only the rest, the near ties, are fused exactly and ranked by
 the metrics' rule.  Either way each point's score is the one :func:`fuse`'s
 output gets.  mAP and mAUC need the values themselves: they fuse every
 point exactly and score each chunk's points in one batched ranking.
+
+The sweep's kernels take class-major members, ``(M, C, n)``, the layout of
+the metrics' kernels: the sweep stacks its ``(n, C)`` members that way once,
+so bounds, margins, exact fallbacks and fused chunks all run along the
+sample axis.
 """
 
 from __future__ import annotations
@@ -244,10 +249,10 @@ def _grid_chunks(total: int, parts: int, size: int):
             yield rows[start:start + size]
 
 
-def _filter_bounds(stack: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Bounds ``(C, n)``, class-major, on how far each class's float margin
-    to the true class may lie from the margin of what :func:`fuse` returns,
-    at every weight point of a sweep of the ``(M, n, C)`` members ``stack``.
+def _filter_bounds(cols: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Bounds ``(C, n)`` on how far each class's float margin to the true
+    class may lie from the margin of what :func:`fuse` returns, at every
+    weight point of a sweep of the ``(M, C, n)`` members ``cols``.
 
     Fuse rounds each product ``w_k p_k`` and then the exact sum of the
     products; the float value is a dot product in whatever order and with
@@ -265,9 +270,9 @@ def _filter_bounds(stack: np.ndarray, y: np.ndarray) -> np.ndarray:
     overflow is ranked by them, and the true class gets ``-inf``: it is
     always apart from itself.
     """
-    n = stack.shape[1]
-    largest = np.maximum(stack.max(axis=0), -stack.min(axis=0)).T
-    bound = _FILTER_FACTOR * len(stack) * (_UNIT_ROUNDOFF * largest + _SMALLEST_SUBNORMAL)
+    n = cols.shape[2]
+    largest = np.maximum(cols.max(axis=0), -cols.min(axis=0))
+    bound = _FILTER_FACTOR * len(cols) * (_UNIT_ROUNDOFF * largest + _SMALLEST_SUBNORMAL)
     bound[largest >= 2.0**1020] = np.inf
     target = y, np.arange(n)
     pair = bound + bound[target]
@@ -276,12 +281,12 @@ def _filter_bounds(stack: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _settled_rows(
-    flat: np.ndarray, pair: np.ndarray, y: np.ndarray, k: int
+    cols: np.ndarray, pair: np.ndarray, y: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Masks ``(n,)`` of the rows that :func:`fuse` ranks top-k at every
     weight point of a sweep, and of those it ranks below the top k at every
-    point, for the members ``flat`` (``(M, C n)``, class-major) and the pair
-    bounds ``pair`` from :func:`_filter_bounds`.
+    point, for the ``(M, C, n)`` members ``cols`` and the pair bounds
+    ``pair`` from :func:`_filter_bounds`.
 
     Class c is surely below the true class y when every member puts it there
     by more than twice the pair bound: ``D_k = fl(p_k[c] - p_k[y]) < -2
@@ -297,7 +302,7 @@ def _settled_rows(
     classes not surely below, the true class one of them, is a sure hit; a
     row with at least k classes surely above is a sure miss.  The true
     class, infinite bounds and NaN margins settle nothing.  The members go
-    one at a time, so no ``(M, C, n)`` array is made.
+    one at a time, so no ``(M, C, n)`` array of margins is made.
     """
     n = len(y)
     target = y, np.arange(n)
@@ -306,7 +311,7 @@ def _settled_rows(
     below = np.ones(twice.shape, dtype=bool)
     above = below.copy()
     with np.errstate(over="ignore", invalid="ignore"):  # huge values settle nothing
-        for values in flat.reshape(len(flat), -1, n):
+        for values in cols:
             margins = values - values[target]
             below &= margins < -twice
             above &= margins > twice
@@ -314,21 +319,19 @@ def _settled_rows(
 
 
 def _sweep_topk_rows(
-    weights: np.ndarray, stack: np.ndarray, flat: np.ndarray, pair: np.ndarray,
-    y: np.ndarray, k: int,
+    weights: np.ndarray, cols: np.ndarray, pair: np.ndarray, y: np.ndarray, k: int
 ) -> np.ndarray:
     """``(G, n)`` top-k hit masks of what :func:`fuse` returns at each of the
-    G weight points for the ``(M, n, C)`` members ``stack``, whose values
-    ``flat`` holds class-major.
+    G weight points for the ``(M, C, n)`` members ``cols``.
 
     One matrix product gives every class's float margin to the true class.
     A row whose every margin exceeds its bound in ``pair`` (from
     :func:`_filter_bounds`) is ranked by its margins, as no exact values
     within the bounds can tie or swap; the rest are fused exactly.
     """
-    m, n, num_classes = stack.shape
+    m, num_classes, n = cols.shape
     with np.errstate(over="ignore", invalid="ignore"):  # rows of huge values go exact
-        margins = (weights @ flat).reshape(len(weights), num_classes, n)
+        margins = (weights @ cols.reshape(m, -1)).reshape(len(weights), num_classes, n)
         margins -= margins[:, y, np.arange(n)][:, None]
         hits = np.count_nonzero(margins > 0, axis=1) < k
         proven = (np.abs(margins, out=margins) > pair).all(axis=1)
@@ -336,7 +339,7 @@ def _sweep_topk_rows(
     step = max(1, CHUNK_ELEMENTS // (m * num_classes))
     for start in range(0, points.size, step):
         p, r = points[start:start + step], rows[start:start + step]
-        fused = _exact_sum(weights.T[:, p, None] * stack[:, r])
+        fused = _exact_sum(weights.T[:, None, p] * cols[:, :, r])  # (C, P)
         hits[p, r] = _true_class_rank(fused, y[r]) < k
     return hits
 
@@ -372,24 +375,25 @@ def sweep_weights(
     y = check_labels(labels, n, num_classes)
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-    stack = np.stack(mats)
+    # One C-ordered (M, C, n) copy (np.stack of the transposes would keep
+    # their (M, n, C) memory order), so every chunk's product reads it as is.
+    cols = np.array([mat.T for mat in mats])
     if objective in ("map", "mauc"):
         # mAP and mAUC need the fused values themselves.
-        points_per_chunk = max(1, CHUNK_ELEMENTS // stack.size)
+        points_per_chunk = max(1, CHUNK_ELEMENTS // cols.size)
 
         def score_chunk(weights):
-            fused = _exact_sum(weights.T[:, :, None, None] * stack[:, None])
+            fused = _exact_sum(weights.T[:, :, None, None] * cols[:, None])
             return _ranking_means(fused, y, objective)[0]
     else:
         # Rows settled at every point are counted once; the open rest is
         # ranked point by point.
         k = min(5, num_classes) if objective == "top5" else 1
-        flat = stack.transpose(0, 2, 1).reshape(m, -1)
-        pair = _filter_bounds(stack, y)
-        sure_hit, sure_miss = _settled_rows(flat, pair, y, k)
+        pair = _filter_bounds(cols, y)
+        sure_hit, sure_miss = _settled_rows(cols, pair, y, k)
         open_rows = ~(sure_hit | sure_miss)
-        stack, pair, y_open = stack[:, open_rows], pair[:, open_rows], y[open_rows]
-        flat = flat.reshape(m, num_classes, n)[:, :, open_rows].reshape(m, -1)
+        # compress keeps the C order that a boolean index would not
+        cols, pair, y_open = cols.compress(open_rows, axis=2), pair[:, open_rows], y[open_rows]
         points_per_chunk = max(1, CHUNK_ELEMENTS // max(1, y_open.size * num_classes))
         totals = np.bincount(y, minlength=num_classes)
         present = np.flatnonzero(totals)
@@ -397,7 +401,7 @@ def sweep_weights(
         settled = np.bincount(y[sure_hit], minlength=num_classes)[present]  # hits per class
 
         def score_chunk(weights):
-            hits = _sweep_topk_rows(weights, stack, flat, pair, y_open, k)
+            hits = _sweep_topk_rows(weights, cols, pair, y_open, k)
             if objective == "mca":
                 correct = np.count_nonzero(hits[:, None] & classes, axis=-1)
                 return _mean_recall(correct + settled, totals[present])

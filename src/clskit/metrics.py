@@ -24,11 +24,13 @@ mAP and mAUC share one ranking per class: an unstable sort of the class's
 scores, after which only the runs of equal values get a second sort, into
 ascending sample order, which gives the stable sort's permutation.  AP reads
 the positives' ranks from it, and AUC its integer win and tie counts from
-the runs, so both take O(n log n) time and O(n) memory per class.  The
-rankings also take a stack of ``(..., n, C)`` scores, one ranking per
-(point, class) row, so a weight sweep scores a chunk of fused points with
-one call.  The true class's rank behind top-k and mean class accuracy is
-counted on class-major blocks of the scores, along the sample axis.
+the runs, so both take O(n log n) time and O(n) memory per class.
+
+The kernels take class-major scores, ``(C, n)`` or a stack ``(..., C, n)``
+of them, so each ranking and each count runs along the sample axis.  The
+public functions take ``(n, C)`` and pass its transpose, a view.  A weight
+sweep fuses its points class-major and ranks a chunk of them, one ranking
+per (point, class) row, with one call.
 """
 
 from __future__ import annotations
@@ -78,28 +80,27 @@ class MetricReport:
         return "\n".join(f"{name:<5} {value:>7}" for name, value in rows)
 
 
-def _true_class_rank(scores: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Rank of the true class in each row of ``(..., n, C)`` scores: the
+def _true_class_rank(cols: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Rank of the true class in each column of ``(C, n)`` scores: the
     number of classes that score strictly higher or tie it with a lower
-    index.  The rows are copied class-major in blocks of at most
-    ``CHUNK_ELEMENTS`` scores (one row at the least), so each comparison
-    and each count runs along the sample axis, in the smallest unsigned
-    type that holds every label and every count."""
-    n, num_classes = scores.shape[-2:]
-    flat = scores.reshape(-1, num_classes)
+    index.  The columns are copied in blocks of at most ``CHUNK_ELEMENTS``
+    scores (one column at the least), so each comparison and each count
+    runs along the sample axis, in the smallest unsigned type that holds
+    every label and every count."""
+    num_classes, n = cols.shape
     small = np.min_scalar_type(num_classes)
-    labels = np.broadcast_to(y.astype(small), scores.shape[:-1]).reshape(-1)
-    targets = flat[np.arange(len(flat)), labels]
+    labels = y.astype(small)
+    targets = cols[labels, np.arange(n)]
     lower = np.arange(num_classes, dtype=small)[:, None]
-    rank = np.empty(len(flat), dtype=np.intp)
+    rank = np.empty(n, dtype=np.intp)
     step = max(1, CHUNK_ELEMENTS // num_classes)
-    for start in range(0, len(flat), step):
+    for start in range(0, n, step):
         rows = slice(start, start + step)
-        block = flat[rows].T.copy()  # (C, rows)
+        block = cols[:, rows].copy()
         ahead = block > targets[rows]
         ahead |= (block == targets[rows]) & (lower < labels[rows])
         rank[rows] = ahead.sum(axis=0, dtype=small)
-    return rank.reshape(scores.shape[:-1])
+    return rank
 
 
 def _class_accuracy(hits: np.ndarray, y: np.ndarray, num_classes: int) -> np.ndarray:
@@ -129,7 +130,7 @@ def topk_accuracy(preds: np.ndarray, labels: np.ndarray, k: int) -> float:
     y = check_labels(labels, n, num_classes)
     if not 1 <= k <= num_classes:
         raise ValueError(f"k must be in [1, {num_classes}], got {k}")
-    return int(np.count_nonzero(_true_class_rank(scores, y) < k)) / n
+    return int(np.count_nonzero(_true_class_rank(scores.T, y) < k)) / n
 
 
 def mean_class_accuracy(preds: np.ndarray, labels: np.ndarray) -> float:
@@ -137,7 +138,7 @@ def mean_class_accuracy(preds: np.ndarray, labels: np.ndarray) -> float:
     scores = check_prediction_matrix(preds)
     n, num_classes = scores.shape
     y = check_labels(labels, n, num_classes)
-    return float(_class_accuracy(_true_class_rank(scores, y) < 1, y, num_classes))
+    return float(_class_accuracy(_true_class_rank(scores.T, y) < 1, y, num_classes))
 
 
 def _class_order(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -164,22 +165,20 @@ def _class_order(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ranked_blocks(
-    scores: np.ndarray, y: np.ndarray, positives: np.ndarray
+    cols: np.ndarray, y: np.ndarray, positives: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Each (point, class) row of ``(..., n, C)`` scores ranked once, the rows
-    taken point by point and, within a point, class by class, in blocks of at
-    most about ``CHUNK_ELEMENTS`` scores (one row at the least), so memory
-    stays linear in n.  Yields, per block of B rows, the ``positives`` count
-    of each row's class, the ``(B, n)`` masks of where each row's ranking puts
-    its class's positives, and the run bounds of :func:`_class_order`."""
-    n, num_classes = scores.shape[-2:]
-    rows = scores.reshape(-1, n, num_classes).swapaxes(1, 2)  # (points, C, n)
-    total = len(rows) * num_classes
+    """Each (point, class) row of ``(..., C, n)`` scores ranked once, the rows
+    taken in order in blocks of at most about ``CHUNK_ELEMENTS`` scores (one
+    row at the least), so memory stays linear in n.  Yields, per block of B
+    rows, the ``positives`` count of each row's class, the ``(B, n)`` masks of
+    where each row's ranking puts its class's positives, and the run bounds
+    of :func:`_class_order`."""
+    num_classes, n = cols.shape[-2:]
+    rows = cols.reshape(-1, n)
     per_block = max(1, CHUNK_ELEMENTS // n)
-    for first in range(0, total, per_block):
-        point, cls = np.divmod(np.arange(first, min(first + per_block, total)), num_classes)
-        # a block within one point is a view, and one across points a gather
-        block = rows[point[0], cls[0]:cls[-1] + 1] if point[0] == point[-1] else rows[point, cls]
+    for first in range(0, len(rows), per_block):
+        block = rows[first:first + per_block]
+        cls = np.arange(first, first + len(block)) % num_classes
         order, bounds = _class_order(block)
         yield positives[cls], y[order] == cls[:, None], bounds
 
@@ -226,14 +225,14 @@ _RANKING = {
 }
 
 
-def _ranking_means(scores: np.ndarray, y: np.ndarray, *names: str) -> list[np.ndarray]:
+def _ranking_means(cols: np.ndarray, y: np.ndarray, *names: str) -> list[np.ndarray]:
     """The macro mean of each named ranking metric (``"map"``, ``"mauc"``) at
-    every point of ``(..., n, C)`` scores, each of shape ``(...)``, from one
+    every point of ``(..., C, n)`` scores, each of shape ``(...)``, from one
     ranking per (point, class) row.  Which classes count depends on the
     labels alone.  A mean adds its classes' values in class order with a
     cumulative sum, as each AP adds its terms, so no bit depends on how the
     Python version's ``sum`` adds floats."""
-    n, num_classes = scores.shape[-2:]
+    num_classes, n = cols.shape[-2:]
     positives = np.bincount(y, minlength=num_classes)
     counted = []
     for name in names:
@@ -243,8 +242,8 @@ def _ranking_means(scores: np.ndarray, y: np.ndarray, *names: str) -> list[np.nd
             raise ValueError(error)
         counted.append(included)
     fns = [_RANKING[name][0] for name in names]
-    blocks = [[fn(*block) for fn in fns] for block in _ranked_blocks(scores, y, positives)]
-    shape = scores.shape[:-2] + (num_classes,)
+    blocks = [[fn(*block) for fn in fns] for block in _ranked_blocks(cols, y, positives)]
+    shape = cols.shape[:-1]
     means = []
     for values, included in zip(zip(*blocks), counted):
         kept = np.concatenate(values).reshape(shape)[..., included]
@@ -257,7 +256,7 @@ def mean_average_precision(preds: np.ndarray, labels: np.ndarray) -> float:
     over classes with at least one positive."""
     scores = check_prediction_matrix(preds)
     y = check_labels(labels, *scores.shape)
-    return float(_ranking_means(scores, y, "map")[0])
+    return float(_ranking_means(scores.T, y, "map")[0])
 
 
 def mean_auc(preds: np.ndarray, labels: np.ndarray) -> float:
@@ -271,7 +270,7 @@ def mean_auc(preds: np.ndarray, labels: np.ndarray) -> float:
     """
     scores = check_prediction_matrix(preds)
     y = check_labels(labels, *scores.shape)
-    return float(_ranking_means(scores, y, "mauc")[0])
+    return float(_ranking_means(scores.T, y, "mauc")[0])
 
 
 def full_report(preds: np.ndarray, labels: np.ndarray) -> MetricReport:
@@ -280,9 +279,9 @@ def full_report(preds: np.ndarray, labels: np.ndarray) -> MetricReport:
     scores = check_prediction_matrix(preds)
     n, num_classes = scores.shape
     y = check_labels(labels, n, num_classes)
-    rank = _true_class_rank(scores, y)
+    rank = _true_class_rank(scores.T, y)
     top1_hits = rank == 0
-    mean_ap, mean_roc_auc = _ranking_means(scores, y, "map", "mauc")
+    mean_ap, mean_roc_auc = _ranking_means(scores.T, y, "map", "mauc")
     return MetricReport(
         top1=int(np.count_nonzero(top1_hits)) / n,
         top5=int(np.count_nonzero(rank < min(5, num_classes))) / n,

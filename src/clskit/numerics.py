@@ -47,8 +47,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     z = np.asarray(logits, dtype=float)
     if z.ndim != 1 or z.size < 2:
         raise ValueError("logits must be a 1-D vector with at least 2 entries")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("logits must be finite")
     return softmax_rows(z[None, :])[0]
 
 
@@ -71,8 +69,9 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def check_probability_vector(p: np.ndarray, tol: float = PROB_SUM_TOL) -> np.ndarray:
-    """Validate a probability vector (entries in [0, 1], sums to 1)."""
+def check_probability_vector(p: np.ndarray) -> np.ndarray:
+    """Validate a probability vector (entries in [0, 1], sums to 1 within
+    :data:`PROB_SUM_TOL`)."""
     v = np.asarray(p, dtype=float)
     if v.ndim != 1 or v.size < 2:
         raise ValueError("probability vector must be 1-D with at least 2 entries")
@@ -81,7 +80,7 @@ def check_probability_vector(p: np.ndarray, tol: float = PROB_SUM_TOL) -> np.nda
     if np.any(v < 0.0) or np.any(v > 1.0):
         raise ValueError("probability vector entries must lie in [0, 1]")
     total = float(v.sum())
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > PROB_SUM_TOL:
         raise ValueError(f"probability vector must sum to 1 (got {total!r})")
     return v
 

@@ -26,7 +26,9 @@ class FreezePolicy(str, Enum):
 class StepDecaySchedule:
     """Piecewise-constant schedule: ``base_lr * multipliers[i]`` holds from
     ``step_epochs[i]`` (inclusive) until the next step epoch (exclusive);
-    the last multiplier persists beyond the final step.
+    the last multiplier persists beyond the final step.  Every step's
+    product must be a positive finite float, so no epoch trains at a rate
+    of 0 or infinity.
     """
 
     base_lr: float
@@ -52,6 +54,13 @@ class StepDecaySchedule:
             )
         if any(not (math.isfinite(m) and m > 0.0) for m in mults):
             raise ValueError("multipliers must all be positive reals")
+        for step, (epoch, m) in enumerate(zip(steps, mults)):
+            lr = float(base_lr) * m
+            if not (math.isfinite(lr) and lr > 0.0):
+                raise ValueError(
+                    f"step {step} (epoch {epoch}): base_lr * multiplier = {lr!r}"
+                    " is not a positive finite float"
+                )
         object.__setattr__(self, "base_lr", float(base_lr))
         object.__setattr__(self, "step_epochs", steps)
         object.__setattr__(self, "multipliers", mults)

@@ -4,6 +4,7 @@ import contextlib
 import errno
 import io
 import json
+import math
 import os
 import shutil
 
@@ -192,6 +193,17 @@ def test_eval_id_mismatch_names_offender(tmp_path, capsys):
     write_labels(labels, [f"s{i}" for i in range(1, 9)], EIGHT_SAMPLE_LABELS)
     assert main(["eval", "--preds", preds, "--labels", labels]) == 2
     assert "'s0'" in capsys.readouterr().err
+
+
+def test_eval_names_a_label_id_without_predictions(tmp_path, capsys):
+    preds, _ = eight_sample_files(tmp_path)
+    labels = tmp_path / "extra.csv"
+    labels.write_text("id,label\n" + "".join(f"s{i},0\n" for i in range(8)) + "c,0\n",
+                      encoding="utf-8")
+    before = sorted(tmp_path.iterdir())
+    assert main(["eval", "--preds", preds, "--labels", str(labels)]) == 2
+    assert capsys.readouterr().err == "error: id 'c' has a label but no predictions\n"
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_eval_reorders_labels_to_prediction_order(tmp_path, capsys):
@@ -547,6 +559,33 @@ def test_schedule_non_ascending_exits_2(capsys):
     assert "ascending" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--base-lr", "1e-300", "--steps", "0", "--mults", "1e-300"],
+     "step 0 (epoch 0): base_lr * multiplier = 0.0 is not a positive finite float"),
+    (["--base-lr", "1e308", "--steps", "0,3", "--mults", "1,1e10"],
+     "step 1 (epoch 3): base_lr * multiplier = inf is not a positive finite float"),
+], ids=["zero", "inf"])
+def test_schedule_rate_of_zero_or_inf_exits_2(capsys, argv, message):
+    # each factor is a positive real; their product is not
+    assert main(["schedule", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_train_rate_of_zero_exits_2_and_writes_nothing(tmp_path, capsys):
+    config = write_config(tmp_path, base_lr=1e-300, steps=[0], mults=[1e-300])
+    out_train, out_val = tmp_path / "tr.csv", tmp_path / "va.csv"
+    code = main(["train", "--config", config, "--out-train", str(out_train),
+                 "--out-val", str(out_val)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: step 0 (epoch 0): base_lr * multiplier = 0.0 is not a positive finite float\n"
+    )
+    assert not out_train.exists() and not out_val.exists()
+
+
 def test_schedule_unparsable_flag_exits_2(capsys):
     assert main(["schedule", "--steps", "0;2", "--mults", "1"]) == 2
     assert "comma-separated" in capsys.readouterr().err
@@ -854,3 +893,113 @@ def test_main_exits_0_or_2_without_a_traceback(fuzz_dir, argv, csvs, run_config,
     assert "Traceback" not in err.getvalue()
     if code == 2 and not err.getvalue().startswith("usage:"):
         assert err.getvalue().startswith("error: ")
+
+
+# -- fuzz: values at the ends of the float range --------------------------------
+# Cells near +-1.7e308, and configs whose base_lr, mults, separation and gamma
+# reach the ends of the float range, on every subcommand with well-formed flags.
+# A run either succeeds quietly, printing only positive finite learning rates,
+# or fails with one error line; pytest turns any warning into a failure.
+
+FLOAT_MAX = float(np.finfo(float).max)
+near_max = st.floats(1e307, FLOAT_MAX).flatmap(lambda v: st.sampled_from([v, -v]))
+tiny_or_huge = st.one_of(st.sampled_from([5e-324, 1e-300, 1e-160, 1e150, 1e300, FLOAT_MAX]),
+                         st.floats(5e-324, FLOAT_MAX))
+
+
+@st.composite
+def extreme_csvs(draw):
+    """Three prediction files and a label file: one-decimal cells, some of them
+    near +-1.7e308."""
+    rows, num_classes = draw(st.integers(1, 6)), draw(st.integers(2, 4))
+    cell = st.one_of(st.sampled_from([0.0, 0.1, 0.5, 1.0]), near_max)
+    ids = [f"s{i}" for i in range(rows)]
+    header = "id," + ",".join(f"c{j}" for j in range(num_classes)) + "\n"
+    preds = [header + "".join(
+        f"{i}," + ",".join(repr(draw(cell)) for _ in range(num_classes)) + "\n" for i in ids)
+        for _ in range(3)]
+    labels = "id,label\n" + "".join(
+        f"{i},{draw(st.integers(0, num_classes - 1))}\n" for i in ids)
+    return preds, labels
+
+
+@st.composite
+def extreme_configs(draw):
+    mults = draw(st.lists(tiny_or_huge, min_size=1, max_size=3))
+    return {
+        "epochs": draw(st.integers(1, 2)),
+        "batch_size": 4,
+        "hidden_dim": 3,
+        "base_lr": draw(tiny_or_huge),
+        "steps": list(range(len(mults))),
+        "mults": mults,
+        "gamma": draw(st.one_of(st.just(0.0), tiny_or_huge)),
+        "dataset": {"n_train": 8, "n_val": 4, "dims": 2, "classes": 3,
+                    "separation": draw(st.one_of(st.just(0.0), tiny_or_huge)), "seed": 1},
+    }
+
+
+@st.composite
+def extreme_argvs(draw):
+    command = draw(st.sampled_from(["train", "eval", "fuse", "sweep", "schedule"]))
+    if command == "train":
+        return [command, "--config", "run.json", "--out-train", "out.csv", "--out-val", "out2.csv"]
+    if command == "eval":
+        return [command, "--preds", draw(st.sampled_from(["p0.csv", "p1.csv"])),
+                "--labels", "labels.csv", "--json"]
+    if command == "fuse":
+        return [command, "--manifest", "m.json", "--out", "out.csv"]
+    if command == "sweep":
+        return [command, "--preds", "p0.csv", "--preds", "p1.csv", "--preds", "p2.csv",
+                "--labels", "labels.csv", "--resolution", draw(st.sampled_from("124")),
+                "--objective", draw(st.sampled_from(OBJECTIVES)),
+                "--score-type", draw(st.sampled_from(SCORE_TYPES))]
+    mults = draw(st.lists(tiny_or_huge, min_size=1, max_size=3))
+    return [command, "--base-lr", repr(draw(tiny_or_huge)),
+            "--steps", ",".join(str(e) for e in range(len(mults))),
+            "--mults", ",".join(map(repr, mults)), "--epochs", draw(st.sampled_from("13"))]
+
+
+def printed_rates(command, out):
+    """The learning rates that ``train`` or ``schedule`` printed."""
+    if command == "train":
+        return [float(line.split()[3]) for line in out.splitlines()]
+    if command == "schedule":
+        return [float(line.split("\t")[1]) for line in out.splitlines()]
+    return []
+
+
+@pytest.fixture(scope="module")
+def extreme_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("extreme")
+
+
+@settings(max_examples=200)
+@given(argv=extreme_argvs(), csvs=extreme_csvs(), run_config=extreme_configs(),
+       score_type=st.sampled_from(SCORE_TYPES))
+def test_values_at_the_float_range_exit_0_quietly_or_2_with_one_error_line(
+        extreme_dir, argv, csvs, run_config, score_type):
+    shutil.rmtree(extreme_dir)
+    extreme_dir.mkdir(parents=True)
+    preds, labels = csvs
+    for k, text in enumerate(preds):
+        (extreme_dir / f"p{k}.csv").write_text(text, encoding="utf-8")
+    (extreme_dir / "labels.csv").write_text(labels, encoding="utf-8")
+    (extreme_dir / "run.json").write_text(json.dumps(run_config), encoding="utf-8")
+    manifest = {"members": [{"path": "p0.csv", "weight": 0.5}, {"path": "p1.csv", "weight": 0.5}],
+                "score_type": score_type}
+    (extreme_dir / "m.json").write_text(json.dumps(manifest), encoding="utf-8")
+    names = {"p0.csv", "p1.csv", "p2.csv", "labels.csv", "run.json", "m.json", "out.csv",
+             "out2.csv"}
+    argv = [str(extreme_dir / arg) if arg in names else arg for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2)
+    if code == 0:
+        assert err.getvalue() == ""
+        for lr in printed_rates(argv[0], out.getvalue()):
+            assert 0.0 < lr < math.inf
+    else:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")

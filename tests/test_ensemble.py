@@ -229,6 +229,14 @@ def test_fuse_validation():
     fuse([np.full((4, 3), 0.5)] * 2, [0.5, 0.5], score_type="logit")
 
 
+def test_fuse_names_a_missing_member_or_weight():
+    with pytest.raises(ValueError, match="^at least one prediction matrix is required$"):
+        fuse([], [])
+    x = np.full((2, 2), 0.5)
+    with pytest.raises(ValueError, match="^weights must be a non-empty vector$"):
+        fuse([x, x], [])
+
+
 def test_weight_sum_tolerance_boundary():
     rng = np.random.default_rng(27)
     members = random_members(rng, 2)
@@ -396,11 +404,11 @@ def filter_cases(draw):
 def test_filter_bound_holds_fuses_value(case):
     # the members' values are the classes of one row, each the true class in turn
     weights, flat = case
-    stack = flat[:, None, :]
+    cols = flat[:, :, None]
     exact = _exact_sum(weights.T[:, :, None] * flat[:, None])
     f = weights @ flat
     for target in range(flat.shape[1]):
-        pair = _filter_bounds(stack, np.array([target]))[:, 0]
+        pair = _filter_bounds(cols, np.array([target]))[:, 0]
         margins = f - f[:, [target]]
         for point, row in enumerate(margins):
             for c in range(len(row)):
@@ -417,12 +425,9 @@ def exact_rows(stack, y, weights):
     row of ``stack`` exactly, the rows swept one at a time; and the hits."""
     went, hits = [], []
     for i in range(stack.shape[1]):
-        row = stack[:, [i]]
-        flat = row.transpose(0, 2, 1).reshape(len(row), -1)
+        row = stack[:, [i]].transpose(0, 2, 1)
         with counting_exact_sums() as calls:
-            hit = _sweep_topk_rows(
-                np.array([weights]), row, flat, _filter_bounds(row, y[[i]]), y[[i]], 1
-            )
+            hit = _sweep_topk_rows(np.array([weights]), row, _filter_bounds(row, y[[i]]), y[[i]], 1)
         went.append(bool(calls))
         hits.append(bool(hit[0, 0]))
     return went, hits
@@ -448,7 +453,7 @@ def test_filter_proves_only_margins_beyond_the_bounds():
     # exact path: a 1.7e308 whose float bound was 1e300 used to be proven
     huge = np.array([[[np.inf, 1.0, 0.0], [np.nan, 1.0, 0.0], [1.7e308, 1.0, 0.0],
                       [2.0**1020, 1.0, 0.0], [np.nextafter(2.0**1020, 0.0), 1.0, 0.0]]])
-    pair = _filter_bounds(huge, np.ones(5, dtype=int))
+    pair = _filter_bounds(huge.transpose(0, 2, 1), np.ones(5, dtype=int))
     assert not (pair[0, :4] < np.inf).any() and np.isfinite(pair[0, 4])  # inf or NaN
     assert (pair[1] == -np.inf).all() and np.isfinite(pair[2]).all()
     big = values.copy()
@@ -589,13 +594,14 @@ def exact_rank(row, target):
 def test_settled_rows_rank_alike_at_every_point(case):
     # the members' values are the classes of one row, each the true class in turn
     weights, flat = case
+    cols = flat[:, :, None]
     exact = _exact_sum(weights.T[:, :, None] * flat[:, None])
     for target in range(flat.shape[1]):
         y = np.array([target])
-        pair = _filter_bounds(flat[:, None, :], y)
+        pair = _filter_bounds(cols, y)
         ranks = [exact_rank(row, target) for row in exact]
         for k in range(1, flat.shape[1] + 1):
-            hit, miss = _settled_rows(flat, pair, y, k)
+            hit, miss = _settled_rows(cols, pair, y, k)
             assert not (hit[0] and miss[0])
             if hit[0]:
                 assert max(ranks) < k
@@ -609,14 +615,13 @@ def test_settled_rows_rank_alike_at_every_point(case):
 @example((FLOAT_MAX_MEMBERS, np.array([0, 2]), 4, "logit"))
 def test_settled_rows_hit_alike_at_every_point_of_the_brute_force_fuse(case):
     members, labels, resolution, score_type = case
-    stack = np.stack(ensemble._check_members(members, score_type))
-    m, n, num_classes = stack.shape
-    flat = stack.transpose(0, 2, 1).reshape(m, -1)
-    pair = _filter_bounds(stack, labels)
+    cols = np.stack([mat.T for mat in ensemble._check_members(members, score_type)])
+    m, num_classes, n = cols.shape
+    pair = _filter_bounds(cols, labels)
     fused = [fuse(members, np.array(point) / resolution, score_type)
              for point in _compositions(resolution, m)]
     for k in range(1, num_classes + 1):
-        hit, miss = _settled_rows(flat, pair, labels, k)
+        hit, miss = _settled_rows(cols, pair, labels, k)
         for i in np.flatnonzero(hit | miss):
             assert all(topk_accuracy(f[[i]], labels[[i]], k) == hit[i] for f in fused)
 
@@ -627,11 +632,10 @@ def test_a_row_settles_only_beyond_twice_its_pair_bound():
     # margin j 2**-53 is beyond twice it from j = 32 on (beyond the bound
     # itself from j = 16 on)
     for j in range(24, 40):
-        stack = np.array([[[1.0 - j * 2.0**-53, 1.0]]] * 2)
-        flat = stack.transpose(0, 2, 1).reshape(2, -1)
+        cols = np.array([[[1.0 - j * 2.0**-53], [1.0]]] * 2)
         for target in (0, 1):
             y = np.array([target])
-            hit, miss = _settled_rows(flat, _filter_bounds(stack, y), y, 1)
+            hit, miss = _settled_rows(cols, _filter_bounds(cols, y), y, 1)
             beyond = j >= 32
             assert (hit[0], miss[0]) == ((beyond, False) if target else (False, beyond))
 
@@ -644,16 +648,15 @@ def test_sweep_ranks_only_the_rows_its_root_leaves_open():
     base = rng.dirichlet(np.ones(4), size=300)
     labels = np.array([rng.choice(4, p=p) for p in base])
     members = [np.stack([rng.dirichlet(10 * p + 0.1) for p in base]) for _ in range(4)]
-    stack = np.stack(members)
-    hit, miss = _settled_rows(stack.transpose(0, 2, 1).reshape(4, -1),
-                              _filter_bounds(stack, labels), labels, 1)
+    cols = np.stack([mat.T for mat in members])
+    hit, miss = _settled_rows(cols, _filter_bounds(cols, labels), labels, 1)
     assert hit.any() and miss.any() and np.count_nonzero(hit | miss) >= 0.2 * 300
     ranked = []
     real = ensemble._sweep_topk_rows
 
-    def recording(weights, stack, flat, pair, y, k):
+    def recording(weights, cols, pair, y, k):
         ranked.append(y.size)
-        return real(weights, stack, flat, pair, y, k)
+        return real(weights, cols, pair, y, k)
 
     with mock.patch.object(ensemble, "_sweep_topk_rows", recording):
         for objective in ("top1", "mca"):

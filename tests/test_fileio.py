@@ -165,6 +165,13 @@ def test_write_labels_rejects_labels_that_are_not_integers(tmp_path, labels, mes
     assert not path.exists()
 
 
+def test_write_labels_rejects_ids_and_labels_of_two_lengths(tmp_path):
+    path = tmp_path / "x.csv"
+    with pytest.raises(ValueError, match="^3 ids for 2 labels$"):
+        write_labels(str(path), ["a", "b", "c"], np.array([0, 1]))
+    assert not path.exists()
+
+
 def test_write_labels_rejects_an_id_with_a_newline(tmp_path):
     path = tmp_path / "x.csv"
     with pytest.raises(ValueError, match=r"^sample id must not contain a newline, got 'a\\nb'$"):

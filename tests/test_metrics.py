@@ -122,10 +122,9 @@ def test_batched_topk_hits_match_oracle_per_slice():
         batch = np.round(rng.uniform(0.0, 1.0, size=(3, 2) + scores.shape), 1)
         n = scores.shape[0]
         for k in range(1, scores.shape[1] + 1):
-            hits = np.count_nonzero(_true_class_rank(batch, labels) < k, axis=-1)
-            assert hits.shape == (3, 2)
             for index in np.ndindex(3, 2):
-                assert hits[index] / n == oracle_topk(batch[index], labels, k)
+                hits = np.count_nonzero(_true_class_rank(batch[index].T, labels) < k)
+                assert hits / n == oracle_topk(batch[index], labels, k)
 
 
 def test_mca_matches_oracle_exactly():
@@ -251,12 +250,12 @@ def tied_stacks(draw):
 
 @given(tied_stacks(), st.integers(1, 60))
 def test_stacked_topk_and_class_accuracy_match_oracles_per_point(instance, chunk):
-    # class-major blocks of chunk // C rows start and end inside points as
-    # well as at their edges
+    # class-major blocks of chunk // C columns end inside a point as well as
+    # at its edge
     stack, labels = instance
     n, num_classes = stack.shape[1:]
     with mock.patch.object(metrics, "CHUNK_ELEMENTS", chunk):
-        rank = _true_class_rank(stack, labels)
+        rank = np.stack([_true_class_rank(scores.T, labels) for scores in stack])
         mca = _class_accuracy(rank < 1, labels, num_classes)
     hits = {k: np.count_nonzero(rank < k, axis=-1) for k in range(1, num_classes + 1)}
     assert mca.shape == (len(stack),)
@@ -270,14 +269,15 @@ def test_stacked_topk_and_class_accuracy_match_oracles_per_point(instance, chunk
 def test_stacked_ranking_matches_oracles_per_point(instance, chunk):
     # blocks of chunk // n rows start and end inside points as well as at their edges
     stack, labels = instance
+    cols = stack.swapaxes(1, 2)
     with mock.patch.object(metrics, "CHUNK_ELEMENTS", chunk):
         if len(set(labels.tolist())) == 1:
             with pytest.raises(ValueError, match="mean_auc needs a class with both"):
-                _ranking_means(stack, labels, "map", "mauc")
-            (mean_ap,) = _ranking_means(stack, labels, "map")
+                _ranking_means(cols, labels, "map", "mauc")
+            (mean_ap,) = _ranking_means(cols, labels, "map")
             mean_roc_auc = None
         else:
-            mean_ap, mean_roc_auc = _ranking_means(stack, labels, "map", "mauc")
+            mean_ap, mean_roc_auc = _ranking_means(cols, labels, "map", "mauc")
     assert mean_ap.shape == (len(stack),)
     for point, scores in enumerate(stack):
         assert mean_ap[point] == oracle_map(scores, labels)

@@ -45,9 +45,10 @@ def test_softmax_rejects_bad_input():
         softmax(np.array([1.0]))
     with pytest.raises(ValueError):
         softmax(np.ones((2, 2)))
-    with pytest.raises(ValueError):
+    # softmax_rows makes the finiteness check, with the same message
+    with pytest.raises(ValueError, match="^logits must be finite$"):
         softmax(np.array([0.0, np.nan]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^logits must be finite$"):
         softmax(np.array([0.0, np.inf]))
 
 

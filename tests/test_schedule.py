@@ -1,5 +1,7 @@
 """Step-decay schedule: breakpoint lookup, persistence, validation."""
 
+import re
+
 import pytest
 
 from clskit.schedule import (
@@ -64,6 +66,28 @@ def test_validation():
         StepDecaySchedule(1e-4, (0,), (0.0,))  # multiplier must be > 0
     with pytest.raises(ValueError):
         StepDecaySchedule(1e-4, (), ())
+
+
+def test_step_epochs_of_a_fraction_rejected():
+    with pytest.raises(ValueError, match="^step_epochs must be integers$"):
+        StepDecaySchedule(1e-3, [0, 1.5], [1, 1])
+
+
+@pytest.mark.parametrize("base_lr, mults, step", [
+    (1e-300, (1.0, 1e-300), "step 1 (epoch 2)"),  # underflows to 0
+    (1e308, (1e10, 1.0), "step 0 (epoch 0)"),  # overflows to inf
+    (5e-324, (1.0, 0.5), "step 1 (epoch 2)"),  # the smallest subnormal halved
+], ids=["underflow", "overflow", "half-subnormal"])
+def test_a_step_rate_of_zero_or_inf_is_rejected(base_lr, mults, step):
+    # each factor is a positive real on its own
+    with pytest.raises(ValueError, match=rf"^{re.escape(step)}: base_lr \* multiplier = "):
+        StepDecaySchedule(base_lr, (0, 2), mults)
+
+
+def test_the_extreme_finite_step_rates_are_accepted():
+    sched = StepDecaySchedule(5e-324, (0, 2), (1.0, 1.5))  # 1.5 subnormals rounds to 2
+    assert [lr_at(sched, e) for e in (0, 2)] == [5e-324, 1e-323]
+    assert lr_at(StepDecaySchedule(1e308, (0,), (1.7,)), 0) == 1.7e308
 
 
 def test_negative_epoch_rejected():
