@@ -118,10 +118,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     for record in log.records:
         print(f"epoch {record.epoch:2d}  lr {record.lr:.6g}  "
               f"loss {record.train_loss:.6f}  val_top1 {record.val_top1:.6f}")
-    train_ids = [f"tr{i:05d}" for i in range(train_set.n)]
-    val_ids = [f"va{i:05d}" for i in range(val_set.n)]
+    train_ids = SampleIds.numbered("tr", train_set.n)
+    val_ids = SampleIds.numbered("va", val_set.n)
     write_predictions(args.out_train, train_ids, predict(model, train_set))
-    write_predictions(args.out_val, val_ids, predict(model, val_set))
+    write_predictions(args.out_val, val_ids, log.val_probs)  # the last epoch's val pass
     if args.train_labels:
         write_labels(args.train_labels, train_ids, train_set.labels)
     if args.val_labels:

@@ -35,8 +35,12 @@ every value come from one batched rounding (in Python ints when int64 sums
 could overflow), and their digits are written straight into one ``uint8``
 buffer, three decimals at a time from a table of 3-digit groups, with each
 block's ids a slice of the :class:`SampleIds` bytes; one mask drops the
-unused slots of shorter cells and ids.  Both writers take any sequence of
-``str``, and re-check only ids that are not already a :class:`SampleIds`.
+unused slots of shorter cells and ids.  The rounding needs each row's exact
+total only near a half-integer: a float sum of the values' fractions and an
+error bound settle every other row, and only the rows left open are summed
+exactly (see :func:`_units`).  Both writers take any sequence of ``str``,
+and re-check only ids that are not already a :class:`SampleIds`; ``train``
+hands them ready-made ones (:meth:`SampleIds.numbered`).
 Run configs and manifests are read by one schema reader from their
 dataclasses' types.  Every file is written to a temporary file beside its
 target, which replaces the target only once it is complete, so a failed
@@ -57,7 +61,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import EnsembleManifest, EnsembleMember, _exact_sum
+from .ensemble import _UNIT_ROUNDOFF, EnsembleManifest, EnsembleMember, _exact_sum
 from .ids import SampleIds
 from .losses import LossConfig
 from .numerics import CHUNK_ELEMENTS, check_integers, check_prediction_matrix
@@ -110,16 +114,46 @@ def _units(scaled: np.ndarray) -> np.ndarray:
     true total rounded to 9 decimals, so row-stochastic matrices stay
     row-stochastic in file form.  int64 while every magnitude is below
     ``2**62 / C``, so no sum overflows, else Python ints; a row total past
-    the float range raises OverflowError."""
+    the float range raises OverflowError.
+
+    A row's shortfall is ``rint(fl(S)) - B``: ``S`` the exact row total,
+    ``fl(S)`` its correct rounding (:func:`_exact_sum`, ties to even), ``B``
+    the sum of the floors.  In the int64 branch rows are filtered before the
+    exact sum, as the sweep filters before it fuses exactly (Shewchuk,
+    1997).  Write ``S = B + F``, ``F`` the exact sum of the fractions
+    ``x - floor(x)``.  Their floats are exact but for values in (-1, 0),
+    each off by at most ``u = 2**-53``, and lie in [0, 1], so their float
+    sum ``f``, in any order, is within ``(C - 1) C u / (1 - (C - 1) u) + C u``
+    of ``F`` (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    §4.2).  Also ``|fl(S) - S| <= u |S| <= u C m``, ``m`` the block's largest
+    magnitude (a sum of floats below the normal range is itself a float).
+    The two add up to at most ``err = C u (C + m)`` times ``1 + 2 C u``, and
+    the factor 2 below covers that and the rounding of ``err``.  With
+    ``k = rint(f)`` (``f - k`` is exact), a row is certified when
+    ``fl(|f - k| + 2 err) < 1/2``; rounding is monotone and 1/2 a float, so
+    the exact ``|f - k| + 2 err < 1/2`` holds.  Then
+    ``|fl(S) - (B + k)| <= |fl(S) - S| + |F - f| + |f - k| < 1/2``, no
+    half-integer lies between them, and the shortfall is ``k``.  Every
+    other row, and every row of a block with a magnitude of ``2**52`` or
+    more (where ``2 err >= C``), takes the exact sum, as does the Python-int
+    branch."""
     num_classes = scaled.shape[1]
     floor = np.floor(scaled)
-    total = np.rint(_exact_sum(scaled.T))
-    if np.abs(scaled).max() < 2.0**62 / num_classes:
-        base, short = floor.astype(np.int64), total.astype(np.int64)
+    largest = np.abs(scaled).max()
+    if largest < 2.0**62 / num_classes:
+        base = floor.astype(np.int64)
+        fraction_sum = (scaled - floor).sum(axis=1)
+        nearest = np.rint(fraction_sum)
+        err = num_classes * _UNIT_ROUNDOFF * (num_classes + largest)
+        open_rows = np.flatnonzero(np.abs(fraction_sum - nearest) + 2.0 * err >= 0.5)
+        short = nearest.astype(np.int64)
+        if open_rows.size:
+            total = np.rint(_exact_sum(scaled[open_rows].T)).astype(np.int64)
+            short[open_rows] = total - base[open_rows].sum(axis=1)
     else:
         exact = np.frompyfunc(int, 1, 1)
-        base, short = exact(floor), exact(total)
-    short = short - base.sum(axis=1)
+        base = exact(floor)
+        short = exact(np.rint(_exact_sum(scaled.T))) - base.sum(axis=1)
     # How many classes the shortfall bumps: with a negative shortfall (a row
     # total rounded below the floors' sum), all but -short.
     count = np.where(short >= 0, short, short + num_classes)

@@ -1,10 +1,19 @@
 """The sample-id column: the rule its ids obey, and :class:`SampleIds`,
 which the CSV readers return and the writers print (``fileio`` re-exports
-it)."""
+it).
+
+A :class:`SampleIds` comes from a reader, whose own checks found its ids
+fine; from :meth:`SampleIds.of`, which checks every id a caller passes with
+:func:`_check_ids`; or from :meth:`SampleIds.numbered`, the ids that
+``train`` writes, built as their bytes and fine by construction, so only
+their prefix is checked.
+"""
 
 from __future__ import annotations
 
 import collections.abc
+
+import numpy as np
 
 
 def _check_ids(ids: list[str]) -> None:
@@ -34,10 +43,11 @@ class SampleIds(collections.abc.Sequence):
     find and the writers print.
 
     Every instance holds ids that are non-empty, comma-free, newline-free
-    and distinct: the readers make one only after their own checks, and
-    :meth:`of` only after :func:`_check_ids`.  Two sequences are equal when
-    their bytes are; a list or tuple compares with the decoded ids, which
-    are decoded once and kept, as are indexing and iteration.
+    and distinct: the readers make one only after their own checks,
+    :meth:`of` only after :func:`_check_ids`, and :meth:`numbered` by
+    construction.  Two sequences are equal when their bytes are; a list or
+    tuple compares with the decoded ids, which are decoded once and kept,
+    as are indexing and iteration.
     """
 
     __slots__ = ("data", "_count", "_decoded")
@@ -57,6 +67,34 @@ class SampleIds(collections.abc.Sequence):
         checked = cls((",".join(ids) + "," if ids else "").encode("utf-8"), len(ids))
         checked._decoded = ids
         return checked
+
+    @classmethod
+    def numbered(cls, prefix: str, count: int) -> SampleIds:
+        """The ids ``f"{prefix}{i:05d}"`` for ``i < count``, built as their
+        bytes with no Python string per id.  Numbers of one digit count (5
+        below 10**5, then 6 below 10**6, and so on, as the format pads them)
+        make one block of fixed-width lines, whose digits come from integer
+        division.  The numbers differ and have no comma or newline, so the
+        ids are non-empty, distinct and, once the prefix is checked,
+        comma-free and newline-free."""
+        if "," in prefix or "\n" in prefix:
+            raise ValueError(f"id prefix must not contain a comma or a newline, got {prefix!r}")
+        head = np.frombuffer(prefix.encode("utf-8"), np.uint8)
+        blocks = []
+        start, width = 0, 5
+        while start < count:
+            stop = min(count, 10**width)
+            number = np.arange(start, stop)
+            block = np.empty((stop - start, head.size + width + 1), np.uint8)
+            block[:, : head.size] = head
+            digits = block[:, head.size : -1]
+            for k in reversed(range(width)):  # digits from the right
+                number, digit = np.divmod(number, 10)
+                digits[:, k] = digit + ord("0")
+            block[:, -1] = ord(",")
+            blocks.append(block.tobytes())
+            start, width = stop, width + 1
+        return cls(b"".join(blocks), count)
 
     def _ids(self) -> list[str]:
         if self._decoded is None:

@@ -15,7 +15,7 @@ model, the log, and all predictions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -99,6 +99,10 @@ class EpochRecord:
 @dataclass(frozen=True)
 class TrainLog:
     records: tuple[EpochRecord, ...]
+    # The last epoch's validation predictions, those of the returned model:
+    # the bits of ``predict(model, val_set)``.  Not compared, so two logs are
+    # equal when their records are.
+    val_probs: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def _class_direction(class_index: int, dims: int) -> np.ndarray:
@@ -202,7 +206,8 @@ def train(
     once, and each batch slices them, so the block size changes no bit.  A
     diverged batch is named by its index from the start of the epoch.  With
     ``freeze=frozen`` the backbone array is never touched, so it is
-    bit-identical afterwards.
+    bit-identical afterwards.  The log keeps the last epoch's validation
+    predictions as ``val_probs``.
     """
     if train_set.dims != val_set.dims:
         raise ValueError(f"train dims {train_set.dims} != val dims {val_set.dims}")
@@ -259,4 +264,4 @@ def train(
                 raise ValueError(f"epoch {epoch} validation: {exc}") from None
             val_top1 = topk_accuracy(val_probs, val_set.labels, 1)
             records.append(EpochRecord(epoch, lr, loss_total / n, val_top1))
-    return model, TrainLog(tuple(records))
+    return model, TrainLog(tuple(records), val_probs)

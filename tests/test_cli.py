@@ -7,16 +7,17 @@ import json
 import math
 import os
 import shutil
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clskit import cli, fileio
+from clskit import cli, fileio, ids
 from clskit.cli import main
 from clskit.ensemble import OBJECTIVES, SCORE_TYPES
-from clskit.fileio import read_predictions, write_labels, write_predictions
+from clskit.fileio import read_labels, read_predictions, write_labels, write_predictions
 from clskit.schedule import default_schedule, schedule_table
 
 EIGHT_SAMPLE_SCORES = np.array(
@@ -78,6 +79,26 @@ def test_train_writes_files_and_logs(tmp_path, capsys):
     ids, matrix = read_predictions(out_val)
     assert len(ids) == 40 and matrix.shape == (40, 3)
     assert ids[0] == "va00000"
+
+
+def test_train_predicts_once_and_checks_no_id_list(tmp_path, capsys):
+    # The val file is the last epoch's validation pass, so predict runs for
+    # the train split alone; the ids are built as bytes, so none goes
+    # through _check_ids.  They are the ids the f-string prints, and each
+    # label file's equal its prediction file's.
+    config = write_config(tmp_path)
+    out = {name: str(tmp_path / f"{name}.csv") for name in ("tr", "va", "tl", "vl")}
+    with mock.patch.object(cli, "predict", wraps=cli.predict) as predict, \
+            mock.patch.object(ids, "_check_ids", wraps=ids._check_ids) as check_ids:
+        assert main(["train", "--config", config, "--out-train", out["tr"],
+                     "--out-val", out["va"], "--train-labels", out["tl"],
+                     "--val-labels", out["vl"]]) == 0
+    capsys.readouterr()
+    assert predict.call_count == 1 and check_ids.call_count == 0
+    for preds, labels, prefix in [("tr", "tl", "tr"), ("va", "vl", "va")]:
+        pred_ids = read_predictions(out[preds])[0]
+        assert pred_ids == [f"{prefix}{i:05d}" for i in range(40)]
+        assert read_labels(out[labels])[0] == pred_ids
 
 
 def test_train_default_config_runs_ten_epochs(tmp_path, capsys):

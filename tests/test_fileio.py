@@ -383,15 +383,18 @@ def test_written_manifests_load_back_bit_for_bit(manifest_dir, weights, score_ty
 _ORACLE_UNIT = 10**9
 
 
-def oracle_format_row(row):
-    scaled = [v * _ORACLE_UNIT for v in row]
+def oracle_units(scaled):
+    """The printed units of one row of scaled values, as Python ints."""
     base = [math.floor(u) for u in scaled]
     short = round(math.fsum(scaled)) - sum(base)
     by_remainder = sorted(range(len(base)), key=lambda j: (base[j] - scaled[j], j))
     bump = set(by_remainder[:short])
+    return [b + (1 if j in bump else 0) for j, b in enumerate(base)]
+
+
+def oracle_format_row(row):
     cells = []
-    for j, b in enumerate(base):
-        units = b + (1 if j in bump else 0)
+    for units in oracle_units([v * _ORACLE_UNIT for v in row]):
         sign = "-" if units < 0 else ""
         mag = abs(units)
         cells.append(f"{sign}{mag // _ORACLE_UNIT}.{mag % _ORACLE_UNIT:09d}")
@@ -1069,6 +1072,89 @@ def test_write_predictions_matches_formatter_when_row_totals_round(tmp_path):
     assert line == "a," + ",".join(oracle_format_row(row))
 
 
+@contextlib.contextmanager
+def counting_exact_sums():
+    with mock.patch.object(fileio, "_exact_sum", wraps=fileio._exact_sum) as exact_sum:
+        yield exact_sum
+
+
+def nudged(value, ulps):
+    """``value`` moved ``ulps`` floats up (down when negative)."""
+    for _ in range(abs(ulps)):
+        value = float(np.nextafter(value, math.copysign(math.inf, ulps)))
+    return value
+
+
+@st.composite
+def scaled_blocks(draw):
+    """Blocks of scaled values, as ``_units`` gets them: Dirichlet rows, rows
+    whose exact total is a half-integer or a few ulps from one, and rows of
+    cells in (-1, 0) (-5e-324 among them), signed zeros, and values near
+    2**52, near 2**53 and at the 2**62 / C switch to Python ints."""
+    num_classes = draw(st.integers(2, 6) | st.integers(17, 24))
+    edge = st.tuples(st.sampled_from([2.0**52, 2.0**53, 2.0**62 / num_classes]),
+                     st.integers(-2, 2), st.sampled_from([1.0, -1.0]))
+    cell = st.one_of(
+        st.floats(-1.0, 0.0, exclude_min=True, exclude_max=True),
+        st.sampled_from([0.0, -0.0, -5e-324, 5e-324, -0.5, 0.5]),
+        st.floats(-1e6, 1e6),
+        edge.map(lambda e: e[2] * nudged(*e[:2])),
+    )
+    block = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["dirichlet", "near_half", "exact_half", "cells"]))
+        if kind == "dirichlet":
+            rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+            block.append(rng.dirichlet(np.ones(num_classes)) * 1e9)
+            continue
+        half = draw(st.integers(-10**6, 10**6)) + 0.5
+        if kind == "cells":
+            row = draw(st.lists(cell, min_size=num_classes, max_size=num_classes))
+        elif kind == "exact_half":  # eighths: every sum is exact
+            row = [k / 8 for k in draw(st.lists(st.integers(-80, 80), min_size=num_classes - 1,
+                                                max_size=num_classes - 1))]
+            row.append(half - sum(row))
+        else:
+            row = draw(st.lists(st.floats(-1.0, 0.0) | st.floats(-1e6, 1e6),
+                                min_size=num_classes - 1, max_size=num_classes - 1))
+            row.append(nudged(half - math.fsum(row), draw(st.integers(-3, 3))))
+        block.append(draw(st.permutations(row)))
+    return np.array(block, dtype=float)
+
+
+@settings(max_examples=300)
+@given(block=scaled_blocks())
+def test_filtered_units_match_the_per_row_oracle(block):
+    units = fileio._units(block)
+    assert [[int(u) for u in row] for row in units] == [oracle_units(row) for row in block.tolist()]
+
+
+def test_units_sum_exactly_only_the_rows_the_filter_leaves_open():
+    # probability rows never come near a half-integer total
+    rows = np.random.default_rng(7).dirichlet(np.ones(10), size=2000) * 1e9
+    with counting_exact_sums() as exact_sum:
+        units = fileio._units(rows)
+    assert exact_sum.call_count == 0
+    assert units.tolist() == [oracle_units(row) for row in rows.tolist()]
+    # The largest magnitude 2**48 - 2 of a 2-class block makes the bound
+    # err = 2 * 2**-53 * (2 + 2**48 - 2) = 2**-4: a fraction sum within
+    # 2 err = 0.125 of a half takes the exact sum, one beyond it does not.
+    # A total of exactly x.5 always does, and so does a block past 2**52, where
+    # the rounded total differs from the floors plus the rounded fractions
+    # (2**53 + 0.75 rounds to 2**53).
+    cases = [
+        ([2.0**48 - 2, 0.375], 1), ([2.0**48 - 2, 0.375 - 2**-10], 0),
+        ([2.0**48 - 2, 0.625], 1), ([2.0**48 - 2, 0.625 + 2**-10], 0),
+        ([3.25, 0.125, 0.125], 1), ([-0.25, -0.25], 1),
+        ([2.0**53 - 1, 1.75], 1), ([2.0**52, 0.25], 1),
+    ]
+    for row, calls in cases:
+        with counting_exact_sums() as exact_sum:
+            units = fileio._units(np.array([row]))
+        assert exact_sum.call_count == calls, row
+        assert units.tolist() == [oracle_units(row)], row
+
+
 def test_one_long_id_pads_only_its_own_row(tmp_path):
     rng = np.random.default_rng(44)
     matrix = rng.dirichlet(np.ones(4), size=2000)
@@ -1207,6 +1293,22 @@ def test_written_ids_read_back_as_sample_ids_on_every_reader_path(scratch_csv, c
                 write(again, got)
                 with open(scratch_csv, "rb") as first, open(again, "rb") as second:
                     assert first.read() == second.read()
+
+
+@pytest.mark.parametrize("count", [0, 1, 99_999, 100_000, 100_001, 1_000_003])
+def test_numbered_ids_are_the_bytes_of_the_checked_f_string_ids(count):
+    numbered = SampleIds.numbered("tr", count)
+    checked = SampleIds.of([f"tr{i:05d}" for i in range(count)])
+    assert numbered.data == checked.data
+    assert len(numbered) == len(checked) == count
+
+
+def test_numbered_ids_take_any_prefix_but_a_comma_or_a_newline():
+    for prefix in ["", "é日🎧", "va"]:
+        assert SampleIds.numbered(prefix, 12) == [f"{prefix}{i:05d}" for i in range(12)]
+    for prefix in ["a,b", ",", "a\n", "\n"]:
+        with pytest.raises(ValueError, match="prefix must not contain a comma or a newline"):
+            SampleIds.numbered(prefix, 3)
 
 
 def test_write_predictions_rejects_values_too_large_to_print(tmp_path):

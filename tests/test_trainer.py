@@ -14,6 +14,7 @@ from clskit.trainer import (
     BackboneHead,
     FeatureDataset,
     TrainConfig,
+    TrainLog,
     forward,
     init_model,
     predict,
@@ -214,6 +215,21 @@ def test_divergence_in_a_later_block_counts_batches_from_the_epoch_start(monkeyp
     with pytest.raises(ValueError) as info:
         train(tr, va, recipe_config(epochs=3))
     assert str(info.value) == "epoch 1 batch 3: logits must be finite"
+
+
+@pytest.mark.parametrize("freeze", [FreezePolicy.FROZEN, FreezePolicy.UNFROZEN])
+def test_log_keeps_the_last_validation_pass(freeze):
+    # Epochs of 3000 rows of 16 features walk blocks of 1024 rows, and the
+    # 2500 validation rows are predicted in blocks of 256 (CHUNK_ELEMENTS //
+    # hidden 64): the kept pass has the bits of predicting the returned model.
+    tr, va = synth_dataset(1, 3000, 16, 10, 2.0), synth_dataset(2, 2500, 16, 10, 2.0)
+    cfg = recipe_config(freeze=freeze, epochs=2, hidden_dim=64,
+                        schedule=StepDecaySchedule(0.05, (0, 1), (1.0, 0.5)))
+    model, log = train(tr, va, cfg)
+    assert log.val_probs.shape == (2500, 10)
+    assert log.val_probs.tobytes() == predict(model, va).tobytes()
+    # the kept pass is neither compared nor printed
+    assert log == TrainLog(log.records) and "val_probs" not in repr(log)
 
 
 def test_train_seed_matters():
