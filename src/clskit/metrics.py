@@ -11,7 +11,7 @@ Conventions (fixed so results are bit-stable and oracle-testable):
   class's score.
 * AP is the mean of precision at each positive rank; AUC is the pairwise
   statistic (wins + 0.5 * ties) / (positives * negatives), with the wins
-  and ties counted from ranks rather than pair by pair.
+  and ties counted by searches rather than pair by pair.
 * All values are fractions in [0, 1]; the display layer shows percentages
   except for mAUC, which stays a 3-decimal fraction.
 
@@ -20,11 +20,16 @@ within an AP, class order across classes) with numpy cumulative sums, so
 small instances match a brute-force oracle exactly and no bit depends on
 the Python version, whose builtin ``sum`` compensates from 3.12 on.
 
-mAP and mAUC share one ranking per class: an unstable sort of the class's
-scores, after which only the runs of equal values get a second sort, into
-ascending sample order, which gives the stable sort's permutation.  AP reads
-the positives' ranks from it, and AUC its integer win and tie counts from
-the runs, so both take O(n log n) time and O(n) memory per class.
+mAP and mAUC rank only the positives.  Per class, one value sort orders the
+negatives' scores, and each positive is searched in them: the negatives
+above it and level with it are integer counts, which give AUC's wins and
+ties (the Mann-Whitney identity; Hanley and McNeil, 1982).  When no negative
+equals a positive, the k-th best positive's stable rank is k plus the
+negatives above it, so AP needs no index order.  Only a class where a
+positive ties a negative takes the stable sort's permutation, ties in
+ascending sample order, and reads its positives' ranks from it: the "filter,
+then exact" pattern (Shewchuk, 1997).  Both take O(n log n) time and O(n)
+memory per class.
 
 The kernels take class-major scores, ``(C, n)`` or a stack ``(..., C, n)``
 of them, so each ranking and each count runs along the sample axis.  The
@@ -35,7 +40,6 @@ per (point, class) row, with one call.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,16 +145,16 @@ def mean_class_accuracy(preds: np.ndarray, labels: np.ndarray) -> float:
     return float(_class_accuracy(_true_class_rank(scores.T, y) < 1, y, num_classes))
 
 
-def _class_order(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _class_order(block: np.ndarray) -> np.ndarray:
     """Row by row, the indices of ``(B, n)`` scores by descending score with
-    ties in ascending index (exactly ``np.argsort(-block, axis=-1,
-    kind="stable")``), and the run bounds of that order: the flat positions
-    where a run of equal scores starts, then ``B * n``.
+    ties in ascending index: exactly ``np.argsort(-block, axis=-1,
+    kind="stable")``.
 
     One unstable sort ranks each row; equal values (signed zeros among them)
-    form runs.  Only the positions in runs of two or more get a second sort:
-    one unstable sort of their unique keys ``run * n + index`` puts each such
-    run's indices in ascending order.
+    form runs.  A second sort of the unique keys ``run * n + index`` puts each
+    run's indices in ascending order: of the positions in runs of two or more
+    when they are at most half the block, else of every position, which
+    spares the gather and the scatter of a block that is mostly ties.
     """
     rows, n = block.shape
     negated = np.negative(block, order="C")
@@ -159,94 +163,118 @@ def _class_order(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     starts = np.ones(rows * n + 1, dtype=bool)
     np.not_equal(ranked[:, 1:], ranked[:, :-1], out=starts[:-1].reshape(rows, n)[:, 1:])
     tied = np.flatnonzero(~(starts[:-1] & starts[1:]))  # positions in runs of >= 2
-    run_base = np.cumsum(starts[tied]) * n
-    np.put(order, tied, np.sort(run_base + order.take(tied)) - run_base)
-    return order, np.flatnonzero(starts)
+    if 2 * tied.size <= order.size:
+        run_base = np.cumsum(starts[tied]) * n
+        np.put(order, tied, np.sort(run_base + order.take(tied)) - run_base)
+        return order
+    run_base = np.cumsum(starts[:-1]) * n
+    keys = np.sort(run_base + order.ravel())
+    return (keys - run_base).reshape(rows, n)
 
 
-def _ranked_blocks(
-    cols: np.ndarray, y: np.ndarray, positives: np.ndarray
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Each (point, class) row of ``(..., C, n)`` scores ranked once, the rows
-    taken in order in blocks of at most about ``CHUNK_ELEMENTS`` scores (one
-    row at the least), so memory stays linear in n.  Yields, per block of B
-    rows, the ``positives`` count of each row's class, the ``(B, n)`` masks of
-    where each row's ranking puts its class's positives, and the run bounds
-    of :func:`_class_order`."""
-    num_classes, n = cols.shape[-2:]
-    rows = cols.reshape(-1, n)
-    per_block = max(1, CHUNK_ELEMENTS // n)
-    for first in range(0, len(rows), per_block):
-        block = rows[first:first + per_block]
-        cls = np.arange(first, first + len(block)) % num_classes
-        order, bounds = _class_order(block)
-        yield positives[cls], y[order] == cls[:, None], bounds
+def _positive_slots(y: np.ndarray, positives: np.ndarray) -> np.ndarray:
+    """Row c: the sample indices of class c's positives in ascending order,
+    padded with n to the largest class's count.  It holds fewer entries than
+    the ``(n, C)`` scores it indexes."""
+    slots = np.full((positives.size, positives.max()), y.size)
+    # row-major, the unpadded slots take the samples grouped by class
+    slots[np.arange(slots.shape[1]) < positives[:, None]] = np.argsort(
+        y.astype(np.min_scalar_type(positives.size)), kind="stable"
+    )
+    return slots
 
 
-def _block_aps(pos: np.ndarray, hits: np.ndarray, _bounds: np.ndarray) -> np.ndarray:
-    """AP of each row of a ranked block, 0 for a row without positives: the
-    mean over its positives of k / rank for the k-th positive.  The rows'
-    terms sit side by side, each row's in rank order under a row of zeros,
-    so one cumulative sum adds each row's terms one after another."""
-    n = hits.shape[1]
-    at = np.flatnonzero(hits)  # the positives, row by row in rank order
-    row = at // n
-    k = np.arange(1, at.size + 1) - (np.cumsum(pos) - pos)[row]
-    terms = np.zeros((1 + pos.max(), len(pos)))
-    terms[k, row] = k / (at - row * n + 1)
-    return np.cumsum(terms, axis=0)[-1] / np.maximum(pos, 1)
+def _block_ranking(
+    block: np.ndarray, cls: np.ndarray, slots: np.ndarray, y: np.ndarray, ap: bool, auc: bool
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """AP (when ``ap``) and AUC (when ``auc``) of each row of ``(B, n)``
+    scores, row b scoring class ``cls[b]`` whose positives ``slots[b]``
+    lists; 0 for a row without a positive (AP) or without both a positive
+    and a negative (AUC).
 
-
-def _block_aucs(pos: np.ndarray, hits: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """AUC of each row of a ranked block, 0 for a row without both a positive
-    and a negative, from integer counts: a positive wins against the
-    negatives of its row past the end of its run of equal scores, and ties
-    the negatives in its run."""
-    n = hits.shape[1]
-    # negatives of the block before each position, at the run bounds
-    neg_before = np.zeros(hits.size + 1, dtype=np.int64)
-    np.cumsum(~hits, out=neg_before[1:])
-    neg_at = neg_before[bounds]
-    neg_in_run = neg_at[1:] - neg_at[:-1]
-    pos_in_run = bounds[1:] - bounds[:-1] - neg_in_run
-    row_runs = np.searchsorted(bounds, np.arange(0, hits.size, n))
-    # per positive: the negatives before its row's end less those before its
-    # run's end, summed over the row's runs
-    wins = neg_before[n::n] * pos - np.add.reduceat(pos_in_run * neg_at[1:], row_runs)
-    ties = np.add.reduceat(pos_in_run * neg_in_run, row_runs)
-    return (wins + 0.5 * ties) / np.maximum(pos * (n - pos), 1)
-
-
-# Per ranking metric: its block function, whether a class needs a negative
-# as well as a positive to count, and the error when no class counts.
-_RANKING = {
-    "map": (_block_aps, False, "mean_average_precision needs at least one positive label"),
-    "mauc": (_block_aucs, True, "mean_auc needs a class with both positives and negatives"),
-}
+    Each row's negatives are sorted by value, and each of its positives is
+    searched in them: ``above`` negatives score higher than it.  When no
+    negative equals a positive, the k-th best positive's stable rank is
+    ``k + above``, whichever positive of a run of equal scores it is, and the
+    positive wins against the rest of the negatives.  A row where a positive
+    ties a negative counts the ties with a second search, and takes its
+    positives' ranks from the stable order of :func:`_class_order`, all such
+    rows of the block in one call.  AP adds its terms ``k / rank`` in rank
+    order with one cumulative sum."""
+    rows, n = block.shape
+    valid = slots < n
+    pos = np.count_nonzero(valid, axis=1)
+    offsets = np.arange(0, rows * (n + 1), n + 1)[:, None]
+    flat = slots + offsets
+    # negated scores, so ascending sorts rank from the top; a pad column
+    work = np.empty((rows, n + 1))
+    np.negative(block, out=work[:, :n])
+    work[:, n] = np.inf
+    best = work.ravel()[flat]  # each row's positives, pads +inf
+    best.sort(axis=1)  # the k-th best positive in column k - 1, pads last
+    work.ravel()[flat] = np.inf
+    work.sort(axis=1)  # each row's negatives, then +inf
+    above = np.empty(best.shape, dtype=np.intp)
+    for row in range(rows):
+        above[row] = np.searchsorted(work[row], best[row])
+    # a positive ties a negative when the next negative down equals it
+    tied = np.flatnonzero((valid & (work.ravel()[above + offsets] == best)).any(axis=1))
+    aps = aucs = None
+    if auc:
+        at_least = above.copy()  # negatives that score at least as high
+        for row in tied:
+            at_least[row] = np.searchsorted(work[row], best[row], "right")
+        wins = (valid * ((n - pos)[:, None] - at_least)).sum(axis=1)
+        ties = (valid * (at_least - above)).sum(axis=1)
+        aucs = (wins + 0.5 * ties) / np.maximum(pos * (n - pos), 1)
+    if ap:
+        k = np.arange(1, best.shape[1] + 1)
+        terms = valid * (k / (k + above))
+        if tied.size:
+            order = _class_order(block if tied.size == rows else block[tied])
+            hit = np.flatnonzero(y[order] == cls[tied, None])  # rows' positives in rank order
+            row = hit // n
+            k_hit = np.arange(1, hit.size + 1) - (np.cumsum(pos[tied]) - pos[tied])[row]
+            terms[tied[row], k_hit - 1] = k_hit / (hit - row * n + 1)
+        aps = np.cumsum(terms, axis=1)[:, -1] / np.maximum(pos, 1)
+    return aps, aucs
 
 
 def _ranking_means(cols: np.ndarray, y: np.ndarray, *names: str) -> list[np.ndarray]:
     """The macro mean of each named ranking metric (``"map"``, ``"mauc"``) at
-    every point of ``(..., C, n)`` scores, each of shape ``(...)``, from one
-    ranking per (point, class) row.  Which classes count depends on the
-    labels alone.  A mean adds its classes' values in class order with a
-    cumulative sum, as each AP adds its terms, so no bit depends on how the
-    Python version's ``sum`` adds floats."""
+    every point of ``(..., C, n)`` scores, each of shape ``(...)``.  The
+    (point, class) rows are views of ``cols``, taken in order in blocks of at
+    most about ``CHUNK_ELEMENTS`` scores (one row at the least), so memory
+    stays linear in n; :func:`_block_ranking` scores each block once for
+    every named metric.  Which classes count depends on the labels alone.  A
+    mean adds its classes' values in class order with a cumulative sum, as
+    each AP adds its terms, so no bit depends on how the Python version's
+    ``sum`` adds floats."""
     num_classes, n = cols.shape[-2:]
     positives = np.bincount(y, minlength=num_classes)
     counted = []
     for name in names:
-        _, needs_negative, error = _RANKING[name]
-        included = (positives > 0) & ((positives < n) | (not needs_negative))
+        # AUC needs a negative as well as a positive
+        included = (positives > 0) & ((positives < n) | (name == "map"))
         if not included.any():
-            raise ValueError(error)
+            raise ValueError(
+                "mean_average_precision needs at least one positive label" if name == "map"
+                else "mean_auc needs a class with both positives and negatives"
+            )
         counted.append(included)
-    fns = [_RANKING[name][0] for name in names]
-    blocks = [[fn(*block) for fn in fns] for block in _ranked_blocks(cols, y, positives)]
+    slots = _positive_slots(y, positives)
+    rows = cols.reshape(-1, n)
+    per_block = max(1, CHUNK_ELEMENTS // n)
+    blocks = []
+    for first in range(0, len(rows), per_block):
+        block = rows[first:first + per_block]
+        cls = np.arange(first, first + len(block)) % num_classes
+        values = _block_ranking(block, cls, slots[cls], y, "map" in names, "mauc" in names)
+        blocks.append(dict(zip(("map", "mauc"), values)))
     shape = cols.shape[:-1]
     means = []
-    for values, included in zip(zip(*blocks), counted):
-        kept = np.concatenate(values).reshape(shape)[..., included]
+    for name, included in zip(names, counted):
+        kept = np.concatenate([part[name] for part in blocks]).reshape(shape)[..., included]
         means.append(np.cumsum(kept, axis=-1)[..., -1] / kept.shape[-1])
     return means
 
@@ -263,10 +291,9 @@ def mean_auc(preds: np.ndarray, labels: np.ndarray) -> float:
     """Macro one-vs-rest ROC AUC via the pairwise win/tie count, averaged
     over classes that have both positives and negatives.
 
-    The counts are rank counts (the Mann-Whitney U identity): in a class's
-    ranking, each positive wins against the negatives of the runs of equal
-    scores below its own and ties the negatives of its run, so time is
-    O(n log n) and memory O(n) per class.
+    The counts are the Mann-Whitney U identity: each positive, searched in
+    its class's sorted negatives, wins against those below it and ties those
+    level with it, so time is O(n log n) and memory O(n) per class.
     """
     scores = check_prediction_matrix(preds)
     y = check_labels(labels, *scores.shape)
@@ -275,7 +302,7 @@ def mean_auc(preds: np.ndarray, labels: np.ndarray) -> float:
 
 def full_report(preds: np.ndarray, labels: np.ndarray) -> MetricReport:
     """All five metrics; top-5 uses k = min(5, C).  The input is validated
-    once, and mAP and mAUC come from the same per-class rankings."""
+    once, and mAP and mAUC come from the same per-class sorts and searches."""
     scores = check_prediction_matrix(preds)
     n, num_classes = scores.shape
     y = check_labels(labels, n, num_classes)

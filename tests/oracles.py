@@ -1,5 +1,6 @@
-"""Reference implementations for the batched loss kernel and trainer, and
-the two ways Python's builtin ``sum`` adds floats.
+"""Reference implementations for the batched loss kernel and trainer, the
+ranking metrics written straight from their definitions, and the two ways
+Python's builtin ``sum`` adds floats.
 
 The loss, prediction and training functions below are verbatim copies of
 the per-sample code that ``clskit.losses.loss_rows`` and the batched
@@ -58,6 +59,77 @@ def compensated_sum(iterable, start=0):
             compensation += (value - step) + total
         total = step
     return total + compensation if compensation and math.isfinite(compensation) else total
+
+
+# -- ranking metrics -------------------------------------------------------
+# Brute-force oracles follow the definitions directly: explicit sorts and
+# pair loops, no shared code with the package implementations.  Means add
+# their floats left to right, the same bits on every Python version.
+
+
+def oracle_topk(scores, labels, k):
+    hits = 0
+    for row, c in zip(scores, labels):
+        order = sorted(range(len(row)), key=lambda j: (-row[j], j))
+        if order.index(c) < k:
+            hits += 1
+    return hits / len(labels)
+
+
+def oracle_mca(scores, labels):
+    num_classes = len(scores[0])
+    recalls = []
+    for c in range(num_classes):
+        rows = [i for i, y in enumerate(labels) if y == c]
+        if not rows:
+            continue
+        correct = 0
+        for i in rows:
+            best, best_j = None, None
+            for j, v in enumerate(scores[i]):
+                if best is None or v > best:
+                    best, best_j = v, j
+            if best_j == c:
+                correct += 1
+        recalls.append(correct / len(rows))
+    return ordered_sum(recalls) / len(recalls)
+
+
+def oracle_map(scores, labels):
+    num_classes = len(scores[0])
+    aps = []
+    for c in range(num_classes):
+        num_pos = sum(1 for y in labels if y == c)
+        if num_pos == 0:
+            continue
+        order = sorted(range(len(labels)), key=lambda i: (-scores[i][c], i))
+        found = 0
+        precisions = []
+        for rank, i in enumerate(order, start=1):
+            if labels[i] == c:
+                found += 1
+                precisions.append(found / rank)
+        aps.append(ordered_sum(precisions) / num_pos)
+    return ordered_sum(aps) / len(aps)
+
+
+def oracle_mauc(scores, labels):
+    num_classes = len(scores[0])
+    aucs = []
+    for c in range(num_classes):
+        pos = [scores[i][c] for i, y in enumerate(labels) if y == c]
+        neg = [scores[i][c] for i, y in enumerate(labels) if y != c]
+        if not pos or not neg:
+            continue
+        wins = ties = 0
+        for a in pos:
+            for b in neg:
+                if a > b:
+                    wins += 1
+                elif a == b:
+                    ties += 1
+        aucs.append((wins + 0.5 * ties) / (len(pos) * len(neg)))
+    return ordered_sum(aucs) / len(aucs)
 
 
 def _off_target_weight(epsilon: float, num_classes: int) -> float:

@@ -11,7 +11,7 @@ import time
 from pathlib import Path
 
 import numpy as np
-from oracles import ordered_sum
+from oracles import oracle_map, oracle_mauc, oracle_mca, oracle_topk
 
 from clskit.cli import main
 from clskit.ensemble import fuse, sweep_weights
@@ -149,71 +149,8 @@ def test_criterion_4_freeze_contract(capsys):
 
 
 # 5. metric oracle equivalence ------------------------------------------------
-# Brute-force oracles follow the definitions directly: explicit sorts and
-# pair loops, no shared code with the package implementations.  Means add
-# their floats left to right, the same bits on every Python version.
-
-def oracle_topk(scores, labels, k):
-    hits = 0
-    for row, c in zip(scores, labels):
-        order = sorted(range(len(row)), key=lambda j: (-row[j], j))
-        if order.index(c) < k:
-            hits += 1
-    return hits / len(labels)
-
-
-def oracle_mca(scores, labels):
-    recalls = []
-    for c in range(len(scores[0])):
-        rows = [i for i, y in enumerate(labels) if y == c]
-        if not rows:
-            continue
-        correct = 0
-        for i in rows:
-            best, best_j = None, None
-            for j, v in enumerate(scores[i]):
-                if best is None or v > best:
-                    best, best_j = v, j
-            if best_j == c:
-                correct += 1
-        recalls.append(correct / len(rows))
-    return ordered_sum(recalls) / len(recalls)
-
-
-def oracle_map(scores, labels):
-    aps = []
-    for c in range(len(scores[0])):
-        num_pos = sum(1 for y in labels if y == c)
-        if num_pos == 0:
-            continue
-        order = sorted(range(len(labels)), key=lambda i: (-scores[i][c], i))
-        found = 0
-        precisions = []
-        for rank, i in enumerate(order, start=1):
-            if labels[i] == c:
-                found += 1
-                precisions.append(found / rank)
-        aps.append(ordered_sum(precisions) / num_pos)
-    return ordered_sum(aps) / len(aps)
-
-
-def oracle_mauc(scores, labels):
-    aucs = []
-    for c in range(len(scores[0])):
-        pos = [scores[i][c] for i, y in enumerate(labels) if y == c]
-        neg = [scores[i][c] for i, y in enumerate(labels) if y != c]
-        if not pos or not neg:
-            continue
-        wins = ties = 0
-        for a in pos:
-            for b in neg:
-                if a > b:
-                    wins += 1
-                elif a == b:
-                    ties += 1
-        aucs.append((wins + 0.5 * ties) / (len(pos) * len(neg)))
-    return ordered_sum(aucs) / len(aucs)
-
+# The brute-force oracles of tests/oracles.py follow the definitions directly:
+# explicit sorts and pair loops, no shared code with the package.
 
 def test_criterion_5_metric_oracle_equivalence(capsys):
     rng = np.random.default_rng(102)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from oracles import compensated_sum, ordered_sum
+from oracles import compensated_sum, oracle_map, oracle_mauc, oracle_mca, oracle_topk
 
 from clskit import metrics
 from clskit.metrics import (
@@ -25,76 +25,6 @@ from clskit.metrics import (
     mean_class_accuracy,
     topk_accuracy,
 )
-
-# -- oracles -------------------------------------------------------------
-# Independent formulations: explicit sorts and pair loops, no numpy logic.
-# Means add their floats left to right, the same bits on every Python version.
-
-
-def oracle_topk(scores, labels, k):
-    hits = 0
-    for row, c in zip(scores, labels):
-        order = sorted(range(len(row)), key=lambda j: (-row[j], j))
-        if order.index(c) < k:
-            hits += 1
-    return hits / len(labels)
-
-
-def oracle_mca(scores, labels):
-    num_classes = len(scores[0])
-    recalls = []
-    for c in range(num_classes):
-        rows = [i for i, y in enumerate(labels) if y == c]
-        if not rows:
-            continue
-        correct = 0
-        for i in rows:
-            best, best_j = None, None
-            for j, v in enumerate(scores[i]):
-                if best is None or v > best:
-                    best, best_j = v, j
-            if best_j == c:
-                correct += 1
-        recalls.append(correct / len(rows))
-    return ordered_sum(recalls) / len(recalls)
-
-
-def oracle_map(scores, labels):
-    num_classes = len(scores[0])
-    aps = []
-    for c in range(num_classes):
-        num_pos = sum(1 for y in labels if y == c)
-        if num_pos == 0:
-            continue
-        order = sorted(range(len(labels)), key=lambda i: (-scores[i][c], i))
-        found = 0
-        precisions = []
-        for rank, i in enumerate(order, start=1):
-            if labels[i] == c:
-                found += 1
-                precisions.append(found / rank)
-        aps.append(ordered_sum(precisions) / num_pos)
-    return ordered_sum(aps) / len(aps)
-
-
-def oracle_mauc(scores, labels):
-    num_classes = len(scores[0])
-    aucs = []
-    for c in range(num_classes):
-        pos = [scores[i][c] for i, y in enumerate(labels) if y == c]
-        neg = [scores[i][c] for i, y in enumerate(labels) if y != c]
-        if not pos or not neg:
-            continue
-        wins = ties = 0
-        for a in pos:
-            for b in neg:
-                if a > b:
-                    wins += 1
-                elif a == b:
-                    ties += 1
-        aucs.append((wins + 0.5 * ties) / (len(pos) * len(neg)))
-    return ordered_sum(aucs) / len(aucs)
-
 
 def random_instance(rng):
     n = int(rng.integers(1, 9))
@@ -223,13 +153,129 @@ def one_tied_pair(n):
 @example(np.array([[0.3, 0.3, 0.3, 0.3]]))  # the whole row is one run
 @example(np.array([[0.0, 1.0, -0.0, 0.0, -0.0]]))  # signed zeros tie
 def test_class_order_is_the_stable_descending_sort(block):
-    order, bounds = _class_order(block)
-    stable = np.argsort(-block, axis=-1, kind="stable")
-    assert np.array_equal(order, stable)
-    ranked = np.take_along_axis(block, stable, axis=-1)
-    starts = np.ones(block.shape, dtype=bool)
-    starts[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
-    assert np.array_equal(bounds, np.append(np.flatnonzero(starts), block.size))
+    # rows of few ties re-sort their tied positions, rows of many every position
+    assert np.array_equal(_class_order(block), np.argsort(-block, axis=-1, kind="stable"))
+
+
+def planted_row(n, num_classes, seed, ties):
+    """n samples, most of class 0 and a few of each other class, so the
+    oracles' pair loops stay short at a few thousand samples.  Each class's
+    scores are distinct (shuffled multiples of 1/n) except for the planted
+    ties: per class, a positive takes the score of a negative before or after
+    it in index order, a positive and a negative take 0.0 and -0.0, and a
+    positive and a negative take 5e-324."""
+    rng = np.random.default_rng(seed)
+    labels = np.zeros(n, dtype=np.int64)
+    for c in range(1, num_classes):
+        labels[rng.choice(n, size=min(n, int(rng.integers(1, 30))), replace=False)] = c
+    scores = np.stack([rng.permutation(n) / n for _ in range(num_classes)], axis=1)
+    for c in range(num_classes):
+        positives, negatives = np.flatnonzero(labels == c), np.flatnonzero(labels != c)
+        if not positives.size or not negatives.size:
+            continue
+        for tie in ties:
+            i, j = rng.choice(positives), rng.choice(negatives)
+            if tie == "value":
+                scores[i, c] = scores[j, c]
+            elif tie == "zero":
+                scores[i, c], scores[j, c] = rng.permutation([0.0, -0.0])
+            else:
+                scores[i, c] = scores[j, c] = 5e-324
+    return scores, labels
+
+
+@st.composite
+def planted_ties(draw):
+    n = draw(st.integers(2, 3000))
+    num_classes = draw(st.integers(2, 4))
+    ties = draw(st.lists(st.sampled_from(["value", "zero", "tiny"]), max_size=4))
+    scores, labels = planted_row(n, num_classes, draw(st.integers(0, 2**32 - 1)), ties)
+    return scores, labels, draw(st.sampled_from(["one row", "some rows", "all rows"]))
+
+
+def block_chunk(shape, rows_per_block):
+    n, num_classes = shape
+    return {"one row": 1, "some rows": 2 * n, "all rows": n * num_classes}[rows_per_block]
+
+
+def one_class_run(n):
+    # every score of class 1 equal: the row is one run
+    scores, labels = planted_row(n, 2, 5, [])
+    scores[:, 1] = 0.25
+    return scores, labels
+
+
+def ties_among_positives(n):
+    # two positives of class 1 share a score that no negative has
+    scores, labels = planted_row(n, 2, 6, [])
+    first, second = np.flatnonzero(labels == 1)[:2]
+    scores[second, 1] = scores[first, 1]
+    return scores, labels
+
+
+def one_tied_pair_instance(n):
+    # class 1's scores are distinct but for one positive tied with a negative
+    labels = np.zeros(n, dtype=np.int64)
+    labels[np.random.default_rng(18).choice(n, size=40, replace=False)] = 1
+    labels[n // 3], labels[n // 2] = 1, 0
+    row = one_tied_pair(n)[0]
+    return np.stack([1.0 - row, row], axis=1), labels
+
+
+@given(planted_ties())
+@example((*one_tied_pair_instance(5000), "one row"))
+@example((*one_tied_pair_instance(5000), "all rows"))
+@example((*one_class_run(2000), "some rows"))
+@example((*ties_among_positives(2000), "one row"))
+def test_planted_ties_at_scale_match_oracles(instance):
+    scores, labels, rows_per_block = instance
+    with mock.patch.object(metrics, "CHUNK_ELEMENTS", block_chunk(scores.shape, rows_per_block)):
+        (mean_ap,) = _ranking_means(scores.T, labels, "map")
+        if len(set(labels.tolist())) == 1:
+            with pytest.raises(ValueError):
+                full_report(scores, labels)
+            assert mean_ap == oracle_map(scores, labels)
+            return
+        mean_roc_auc, again = _ranking_means(scores.T, labels, "mauc", "map")
+        report = full_report(scores, labels)
+    assert mean_ap == again == report.map == oracle_map(scores, labels)
+    assert mean_roc_auc == report.mauc == oracle_mauc(scores, labels)
+    assert report.top1 == oracle_topk(scores, labels, 1)
+    assert report.mca == oracle_mca(scores, labels)
+
+
+@pytest.mark.parametrize(
+    "instance, exact",
+    [
+        (planted_row(2000, 3, 7, ["value"]), True),
+        (planted_row(2000, 3, 8, ["zero"]), True),
+        (planted_row(2000, 3, 9, ["tiny"]), True),
+        (ties_among_positives(2000), False),
+        (one_class_run(2000), True),
+        (
+            (np.random.default_rng(19).uniform(size=(20_000, 10)),
+             np.random.default_rng(20).integers(0, 10, size=20_000)),
+            False,
+        ),
+    ],
+    ids=["value", "signed-zeros", "subnormal", "positives-only", "one-run", "untied-20000x10"],
+)
+def test_only_a_positive_tied_with_a_negative_takes_the_stable_order(instance, exact):
+    scores, labels = instance
+    tied_classes = [
+        c for c in range(scores.shape[1])
+        if set(scores[labels == c, c].tolist()) & set(scores[labels != c, c].tolist())
+    ]
+    assert bool(tied_classes) == exact
+    with mock.patch.object(metrics, "_class_order", wraps=_class_order) as stable_order:
+        report = full_report(scores, labels)
+    # one call per block with such a row, given those rows alone
+    ranked = np.concatenate([call.args[0] for call in stable_order.call_args_list] or [[]])
+    assert len(ranked) == len(tied_classes)
+    for row, c in zip(ranked, tied_classes):
+        assert np.array_equal(row, scores[:, c])
+    if len(labels) <= 2000:
+        assert report.map == oracle_map(scores, labels)
 
 
 @st.composite
@@ -313,6 +359,21 @@ def test_map_heap_stays_linear_at_scale():
 def test_full_report_heap_stays_linear_at_scale():
     rng = np.random.default_rng(16)
     scores = np.round(rng.uniform(size=(20_000, 10)), 3)  # ties included
+    labels = rng.integers(0, 10, size=20_000)
+    tracemalloc.start()
+    try:
+        full_report(scores, labels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.25 * 2**20
+
+
+def test_full_report_heap_stays_linear_without_ties():
+    # distinct scores: every class row is ranked by the value sort and the
+    # positives' search alone
+    rng = np.random.default_rng(16)
+    scores = rng.uniform(size=(20_000, 10))
     labels = rng.integers(0, 10, size=20_000)
     tracemalloc.start()
     try:
