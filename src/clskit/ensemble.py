@@ -60,7 +60,7 @@ from typing import Sequence
 import numpy as np
 
 # topk_accuracy goes unused here; perfbench's tracer times it under this name
-from .metrics import _mean_recall, _ranking_means, _true_class_rank, topk_accuracy  # noqa: F401
+from .metrics import _mean_recall, _ranker, _true_class_rank, topk_accuracy  # noqa: F401
 from .numerics import CHUNK_ELEMENTS, check_labels, check_prediction_matrix, softmax_rows
 
 SCORE_TYPES = ("prob", "logit")
@@ -381,10 +381,11 @@ def sweep_weights(
     if objective in ("map", "mauc"):
         # mAP and mAUC need the fused values themselves.
         points_per_chunk = max(1, CHUNK_ELEMENTS // cols.size)
+        rank = _ranker(y, num_classes, objective)  # the labels' part, once per sweep
 
         def score_chunk(weights):
             fused = _exact_sum(weights.T[:, :, None, None] * cols[:, None])
-            return _ranking_means(fused, y, objective)[0]
+            return rank(fused)[0]
     else:
         # Rows settled at every point are counted once; the open rest is
         # ranked point by point.

@@ -125,7 +125,7 @@ def _units(scaled: np.ndarray) -> np.ndarray:
     each off by at most ``u = 2**-53``, and lie in [0, 1], so their float
     sum ``f``, in any order, is within ``(C - 1) C u / (1 - (C - 1) u) + C u``
     of ``F`` (Higham, *Accuracy and Stability of Numerical Algorithms*,
-    §4.2).  Also ``|fl(S) - S| <= u |S| <= u C m``, ``m`` the row's largest
+    §4.2).  Also ``|fl(S) - S| <= u |S| <= u C m``, ``m`` the block's largest
     magnitude (a sum of floats below the normal range is itself a float).
     The two add up to at most ``err = C u (C + m)`` times ``1 + 2 C u``, and
     the factor 2 below covers that and the rounding of ``err``.  With
@@ -133,12 +133,10 @@ def _units(scaled: np.ndarray) -> np.ndarray:
     ``fl(|f - k| + 2 err) < 1/2``; rounding is monotone and 1/2 a float, so
     the exact ``|f - k| + 2 err < 1/2`` holds.  Then
     ``|fl(S) - (B + k)| <= |fl(S) - S| + |F - f| + |f - k| < 1/2``, no
-    half-integer lies between them, and the shortfall is ``k``.  The block's
-    largest magnitude bounds every row's, so one ``err`` for the block is
-    tried first, and only the rows it leaves open are tried again with their
-    own.  Every row still open, among them every row with a magnitude of
-    ``2**52`` or more (where ``2 err >= C``), takes the exact sum, as does
-    the Python-int branch."""
+    half-integer lies between them, and the shortfall is ``k``.  Every
+    other row, and every row of a block with a magnitude of ``2**52`` or
+    more (where ``2 err >= C``), takes the exact sum, as does the Python-int
+    branch."""
     num_classes = scaled.shape[1]
     floor = np.floor(scaled)
     largest = np.abs(scaled).max()
@@ -146,13 +144,8 @@ def _units(scaled: np.ndarray) -> np.ndarray:
         base = floor.astype(np.int64)
         fraction_sum = (scaled - floor).sum(axis=1)
         nearest = np.rint(fraction_sum)
-        off = np.abs(fraction_sum - nearest)
         err = num_classes * _UNIT_ROUNDOFF * (num_classes + largest)
-        open_rows = np.flatnonzero(off + 2.0 * err >= 0.5)
-        if open_rows.size:
-            own = np.abs(scaled[open_rows]).max(axis=1)
-            own_err = num_classes * _UNIT_ROUNDOFF * (num_classes + own)
-            open_rows = open_rows[off[open_rows] + 2.0 * own_err >= 0.5]
+        open_rows = np.flatnonzero(np.abs(fraction_sum - nearest) + 2.0 * err >= 0.5)
         short = nearest.astype(np.int64)
         if open_rows.size:
             total = np.rint(_exact_sum(scaled[open_rows].T)).astype(np.int64)

@@ -152,24 +152,17 @@ def _class_order(block: np.ndarray) -> np.ndarray:
 
     One unstable sort ranks each row; equal values (signed zeros among them)
     form runs.  A second sort of the unique keys ``run * n + index`` puts each
-    run's indices in ascending order: of the positions in runs of two or more
-    when they are at most half the block, else of every position, which
-    spares the gather and the scatter of a block that is mostly ties.
+    run's indices in ascending order.
     """
     rows, n = block.shape
     negated = np.negative(block, order="C")
     order = np.argsort(negated, axis=-1)
     ranked = negated.ravel()[order + np.arange(0, rows * n, n)[:, None]]  # sorted values
-    starts = np.ones(rows * n + 1, dtype=bool)
-    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=starts[:-1].reshape(rows, n)[:, 1:])
-    tied = np.flatnonzero(~(starts[:-1] & starts[1:]))  # positions in runs of >= 2
-    if 2 * tied.size <= order.size:
-        run_base = np.cumsum(starts[tied]) * n
-        np.put(order, tied, np.sort(run_base + order.take(tied)) - run_base)
-        return order
-    run_base = np.cumsum(starts[:-1]) * n
-    keys = np.sort(run_base + order.ravel())
-    return (keys - run_base).reshape(rows, n)
+    starts = np.ones((rows, n), dtype=bool)
+    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=starts[:, 1:])
+    run_base = np.cumsum(starts).reshape(rows, n) * n
+    keys = np.sort(run_base + order, axis=None).reshape(rows, n)
+    return keys - run_base
 
 
 def _positive_slots(y: np.ndarray, positives: np.ndarray) -> np.ndarray:
@@ -242,15 +235,26 @@ def _block_ranking(
 
 def _ranking_means(cols: np.ndarray, y: np.ndarray, *names: str) -> list[np.ndarray]:
     """The macro mean of each named ranking metric (``"map"``, ``"mauc"``) at
-    every point of ``(..., C, n)`` scores, each of shape ``(...)``.  The
-    (point, class) rows are views of ``cols``, taken in order in blocks of at
-    most about ``CHUNK_ELEMENTS`` scores (one row at the least), so memory
-    stays linear in n; :func:`_block_ranking` scores each block once for
-    every named metric.  Which classes count depends on the labels alone.  A
-    mean adds its classes' values in class order with a cumulative sum, as
-    each AP adds its terms, so no bit depends on how the Python version's
-    ``sum`` adds floats."""
-    num_classes, n = cols.shape[-2:]
+    every point of ``(..., C, n)`` scores, each of shape ``(...)``: see
+    :func:`_ranker`."""
+    return _ranker(y, cols.shape[-2], *names)(cols)
+
+
+def _ranker(y: np.ndarray, num_classes: int, *names: str):
+    """The function that takes ``(..., C, n)`` scores of labels ``y`` to the
+    macro mean of each named ranking metric (``"map"``, ``"mauc"``) at every
+    point, each of shape ``(...)``.  Which classes count and where each
+    class's positives lie depend on the labels alone, so they are settled
+    here once, and a weight sweep ranks every chunk of its points with them.
+
+    The (point, class) rows are views of the scores, taken in order in
+    blocks of at most about ``CHUNK_ELEMENTS`` scores (one row at the least),
+    so memory stays linear in n; :func:`_block_ranking` scores each block
+    once for every named metric, with its positives padded to its own
+    largest class.  A mean adds its classes' values in class order with a
+    cumulative sum, as each AP adds its terms, so no bit depends on how the
+    Python version's ``sum`` adds floats."""
+    n = y.size
     positives = np.bincount(y, minlength=num_classes)
     counted = []
     for name in names:
@@ -263,19 +267,26 @@ def _ranking_means(cols: np.ndarray, y: np.ndarray, *names: str) -> list[np.ndar
             )
         counted.append(included)
     slots = _positive_slots(y, positives)
-    rows = cols.reshape(-1, n)
     per_block = max(1, CHUNK_ELEMENTS // n)
-    blocks = []
-    for first in range(0, len(rows), per_block):
-        block = rows[first:first + per_block]
-        cls = np.arange(first, first + len(block)) % num_classes
-        values = _block_ranking(block, cls, slots[cls], y, "map" in names, "mauc" in names)
-        blocks.append(dict(zip(("map", "mauc"), values)))
-    shape = cols.shape[:-1]
-    means = []
-    for name, included in zip(names, counted):
-        kept = np.concatenate([part[name] for part in blocks]).reshape(shape)[..., included]
-        means.append(np.cumsum(kept, axis=-1)[..., -1] / kept.shape[-1])
+
+    def means(cols: np.ndarray) -> list[np.ndarray]:
+        rows = cols.reshape(-1, n)
+        blocks = []
+        for first in range(0, len(rows), per_block):
+            block = rows[first:first + per_block]
+            cls = np.arange(first, first + len(block)) % num_classes
+            width = max(1, positives[cls].max())
+            values = _block_ranking(
+                block, cls, slots[cls, :width], y, "map" in names, "mauc" in names
+            )
+            blocks.append(dict(zip(("map", "mauc"), values)))
+        shape = cols.shape[:-1]
+        result = []
+        for name, included in zip(names, counted):
+            kept = np.concatenate([part[name] for part in blocks]).reshape(shape)[..., included]
+            result.append(np.cumsum(kept, axis=-1)[..., -1] / kept.shape[-1])
+        return result
+
     return means
 
 

@@ -1155,32 +1155,6 @@ def test_units_sum_exactly_only_the_rows_the_filter_leaves_open():
         assert units.tolist() == [oracle_units(row)], row
 
 
-def exact_rows(exact_sum):
-    """The rows each ``_exact_sum`` call of a ``counting_exact_sums`` block
-    summed: it takes the open rows as ``(C, rows)``."""
-    return [call.args[0].shape[1] for call in exact_sum.call_args_list]
-
-
-def test_open_rows_are_tried_again_with_their_own_magnitude(tmp_path):
-    # One cell of 1e7 (2**52 units or more) per 1638-row block leaves the
-    # block-wide bound no room; every other row then passes its own bound, and
-    # only the 1e7 rows are summed exactly.
-    rows = np.random.default_rng(9).dirichlet(np.ones(10), size=20_000)
-    rows[::1638, 3] = 1e7
-    with counting_exact_sums() as exact_sum:
-        units = fileio._units(rows[:1638] * 1e9)
-    assert exact_rows(exact_sum) == [1]
-    assert units.tolist() == [oracle_units(row) for row in (rows[:1638] * 1e9).tolist()]
-    path = tmp_path / "p.csv"
-    ids = [f"r{i}" for i in range(len(rows))]
-    with counting_exact_sums() as exact_sum:
-        write_predictions(str(path), ids, rows)
-    assert sum(exact_rows(exact_sum)) == len(rows[::1638])
-    expected = "id," + ",".join(f"c{j}" for j in range(10)) + "\n" + "".join(
-        i + "," + ",".join(oracle_format_row(row)) + "\n" for i, row in zip(ids, rows.tolist()))
-    assert path.read_text(encoding="utf-8") == expected
-
-
 def test_one_long_id_pads_only_its_own_row(tmp_path):
     rng = np.random.default_rng(44)
     matrix = rng.dirichlet(np.ones(4), size=2000)

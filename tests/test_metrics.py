@@ -153,7 +153,6 @@ def one_tied_pair(n):
 @example(np.array([[0.3, 0.3, 0.3, 0.3]]))  # the whole row is one run
 @example(np.array([[0.0, 1.0, -0.0, 0.0, -0.0]]))  # signed zeros tie
 def test_class_order_is_the_stable_descending_sort(block):
-    # rows of few ties re-sort their tied positions, rows of many every position
     assert np.array_equal(_class_order(block), np.argsort(-block, axis=-1, kind="stable"))
 
 
@@ -276,6 +275,23 @@ def test_only_a_positive_tied_with_a_negative_takes_the_stable_order(instance, e
         assert np.array_equal(row, scores[:, c])
     if len(labels) <= 2000:
         assert report.map == oracle_map(scores, labels)
+
+
+@pytest.mark.parametrize("rows_per_block", ["one row", "some rows", "all rows"])
+def test_each_block_pads_positives_to_its_own_largest_class(rows_per_block):
+    # class 0 holds most labels and class 4 none, so a block without class 0
+    # gathers a few positive slots per row, not class 0's count
+    scores, labels = planted_row(2000, 4, 21, ["value"])
+    scores = np.hstack([scores, np.random.default_rng(22).permutation(2000)[:, None] / 2000])
+    counts = np.bincount(labels, minlength=5)
+    with mock.patch.object(metrics, "CHUNK_ELEMENTS", block_chunk(scores.shape, rows_per_block)), \
+            mock.patch.object(metrics, "_block_ranking", wraps=metrics._block_ranking) as kernel:
+        report = full_report(scores, labels)
+    for call in kernel.call_args_list:
+        _, cls, slots = call.args[:3]
+        assert slots.shape == (len(cls), max(1, counts[cls].max()))
+    assert report.map == oracle_map(scores, labels)
+    assert report.mauc == oracle_mauc(scores, labels)
 
 
 @st.composite
